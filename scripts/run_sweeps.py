@@ -15,8 +15,15 @@ import time
 from collections import Counter
 
 from braid3.enumeration import enumerate_minimal
+from braid3.errors import ConsistencyError
 from braid3.invariants import ONE_PLUS_V2, OTHER, classify_leading_coefficient, pmcf_predicate
 from braid3.xu import is_strongly_quasipositive
+
+
+def law(holds: bool, name: str, entry) -> None:
+    """Raise ConsistencyError (never stripped by -O) when a law fails on an orbit."""
+    if not holds:
+        raise ConsistencyError(f"{name} fails for length {entry.length}, word {entry.word}")
 
 
 def main() -> int:
@@ -32,15 +39,18 @@ def main() -> int:
         kinds = Counter(e.components for e in entries)
         for e in entries:
             p = e.polynomial
-            assert p.max_deg_z() == n - 2, (n, e.word)
-            assert p.min_deg_v() <= n - 2, (n, e.word)
+            law(p.max_deg_z() == n - 2, "max deg_z = length - 2", e)
+            law(p.min_deg_v() <= n - 2, "min deg_v <= length - 2", e)
             cls = classify_leading_coefficient(p, e.chi)
-            assert cls.tag != OTHER, (n, e.word)
-            assert not (
-                e.components in (1, 3) and cls.tag == ONE_PLUS_V2 and cls.sign == -1
-            ), (n, e.word)
+            law(cls.tag != OTHER, "leading coefficient in an allowed class", e)
+            law(
+                not (e.components in (1, 3) and cls.tag == ONE_PLUS_V2 and cls.sign == -1),
+                "no -(1 + v^2) leading coefficient for 1 or 3 components",
+                e,
+            )
             if pmcf_predicate(p):
-                assert is_strongly_quasipositive(e.word) != "no", (n, e.word)
+                qp = is_strongly_quasipositive(e.word)
+                law(qp != "no", "PMCF implies a positive band form", e)
         grand_total += len(entries)
         print(f"{n:>5} {len(entries):>7} {kinds.get(1, 0):>6} {time.perf_counter() - t0:>8.2f}")
     print(f"all degree and coefficient laws hold on {grand_total} orbits")

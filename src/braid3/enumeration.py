@@ -21,10 +21,10 @@ from typing import Iterator, Sequence
 
 from . import xu
 from .errors import CapExceededError, ConsistencyError
-from .hecke import homfly, pretzel_homfly
+from .hecke import homfly_many, pretzel_homfly
 from .invariants import mwf_lower_bound
 from .laurent import LaurentPoly2, mirror_image
-from .words import DELTA, Word, closure_components, cyclic_rotate, inverse, shift_indices
+from .words import DELTA, Word, closure_components, inverse, shift_letter
 
 DEFAULT_MAX_BANDS = 14
 
@@ -32,14 +32,30 @@ _LETTERS = (1, 2, 3, -1, -2, -3)
 _DELTA_INV = (-1, -2)
 
 
+# Letter -> letter with its subscript shifted by 0, 1 and 2 (mod 3).
+_SHIFT_TABLES = tuple({l: shift_letter(l, s) for l in _LETTERS} for s in range(3))
+
+
 def canonical_key(word: Sequence[int]) -> Word:
-    """Lexicographically least word over all rotations and subscript shifts."""
-    w = tuple(word)
-    if not w:
-        return w
-    return min(
-        shift_indices(cyclic_rotate(w, r), s) for r in range(len(w)) for s in range(3)
-    )
+    """Lexicographically least word over all rotations and subscript shifts.
+
+    A least rotation starts at a least letter, so for each shift only the
+    rotations starting at that letter are compared.
+    """
+    n = len(word)
+    if not n:
+        return ()
+    best: Word | None = None
+    for table in _SHIFT_TABLES:
+        u = tuple(map(table.__getitem__, word))
+        least = min(u)
+        uu = u + u
+        for i in range(n):
+            if u[i] == least:
+                cand = uu[i : i + n]
+                if best is None or cand < best:
+                    best = cand
+    return best
 
 
 def nondecreasing_words(length: int) -> Iterator[Word]:
@@ -104,19 +120,19 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
         key = canonical_key(word)
         if key not in seen:
             seen[key] = kind
-    entries = []
-    for key in sorted(seen):
-        entries.append(
-            CensusEntry(
-                word=key,
-                kind=seen[key],
-                length=length,
-                components=closure_components(key),
-                chi=3 - length,
-                polynomial=homfly(key),
-            )
+    # Sorted keys share long prefixes, which homfly_many folds only once.
+    keys = sorted(seen)
+    return [
+        CensusEntry(
+            word=key,
+            kind=seen[key],
+            length=length,
+            components=closure_components(key),
+            chi=3 - length,
+            polynomial=poly,
         )
-    return entries
+        for key, poly in zip(keys, homfly_many(keys))
+    ]
 
 
 def brute_force_orbits(length: int) -> set[Word]:

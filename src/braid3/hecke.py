@@ -131,13 +131,53 @@ def _trace_table() -> tuple[LaurentPoly2, ...]:
 TRACE_TABLE: tuple[LaurentPoly2, ...] = _trace_table()
 
 
+_TRACE_TERMS = tuple(p.terms_dict() for p in TRACE_TABLE)
+
+
+def _close(raw: _Raw) -> LaurentPoly2:
+    """Pair a raw fold vector with the closure values of the basis."""
+    out: dict[tuple[int, int], int] = {}
+    for coeff, closed in zip(raw, _TRACE_TERMS):
+        for (a, b), c in coeff.items():
+            for (x, y), d in closed.items():
+                key = (a + x, b + y)
+                out[key] = out.get(key, 0) + c * d
+    return LaurentPoly2(out)
+
+
 def homfly(word: Sequence[int]) -> LaurentPoly2:
     """Skein polynomial of the closure, via the linear-time basis fold."""
-    vec = fold_word(word)
-    out = LaurentPoly2.zero()
-    for coeff, closed in zip(vec, TRACE_TABLE):
-        if not coeff.is_zero:
-            out = out + coeff * closed
+    raw = _raw_unit()
+    for l in _expand_bands(word):
+        raw = _raw_fold(raw, l)
+    return _close(raw)
+
+
+def homfly_many(words: Sequence[Sequence[int]]) -> list[LaurentPoly2]:
+    """``homfly`` of each word, folding a prefix shared with the previous word once.
+
+    ``stack[i]`` is the fold of the first i band letters of the previous
+    word, so a sorted list of short words costs little more than its
+    distinct suffixes.
+    """
+    out: list[LaurentPoly2] = []
+    prev: tuple[int, ...] = ()
+    stack = [_raw_unit()]
+    for word in words:
+        w = tuple(word)
+        common = 0
+        for x, y in zip(prev, w):
+            if x != y:
+                break
+            common += 1
+        del stack[common + 1 :]
+        raw = stack[common]
+        for letter in w[common:]:
+            for l in _expand_bands((letter,)):
+                raw = _raw_fold(raw, l)
+            stack.append(raw)
+        out.append(_close(raw))
+        prev = w
     return out
 
 
@@ -160,17 +200,26 @@ def skein_oracle(word: Sequence[int]) -> LaurentPoly2:
     return _torus2(sum(1 if l > 0 else -1 for l in letters))
 
 
+def _twist(f0: LaurentPoly2, f1: LaurentPoly2, n: int) -> LaurentPoly2:
+    """f(n) from f(0) and f(1) under f(j) = v z f(j-1) + v^2 f(j-2).
+
+    This is the skein relation at a positive crossing of a twist region.
+    """
+    for _ in range(n):
+        f0, f1 = f1, f1.scale_by_monomial(1, 1, 1) + f0.scale_by_monomial(1, 2, 0)
+    return f0
+
+
 @lru_cache(maxsize=None)
 def _torus2(k: int) -> LaurentPoly2:
-    if k == 0:
-        return delta_unlink_factor()
-    if k == 1:
-        return LaurentPoly2.one()
-    if k >= 2:
-        # v^{-1} P(k) - v P(k-2) = z P(k-1)
-        return _torus2(k - 1).scale_by_monomial(1, 1, 1) + _torus2(k - 2).scale_by_monomial(1, 2, 0)
-    # k <= -1:  P(k) = v^{-2} P(k+2) - v^{-1} z P(k+1)
-    return _torus2(k + 2).scale_by_monomial(1, -2, 0) - _torus2(k + 1).scale_by_monomial(1, -1, 1)
+    # P(0) = delta and P(1) = 1; negative k runs the relation downwards,
+    # P(j) = v^{-2} P(j+2) - v^{-1} z P(j+1).
+    if k >= 0:
+        return _twist(delta_unlink_factor(), LaurentPoly2.one(), k)
+    a, b = LaurentPoly2.one(), delta_unlink_factor()  # P(j+2), P(j+1)
+    for _ in range(-k):
+        a, b = b, a.scale_by_monomial(1, -2, 0) - b.scale_by_monomial(1, -1, 1)
+    return b
 
 
 def trace_table_from_oracle() -> tuple[LaurentPoly2, ...]:
@@ -213,10 +262,14 @@ def pretzel_homfly(twists: Sequence[int]) -> LaurentPoly2:
     orientation exists only for an even number of regions; an odd count is
     rejected.
 
-    Recursion on any region with at least two crossings,
-    P(.., a, ..) = v z P(.., a-1, ..) + v^2 P(.., a-2, ..);  a region at 0
-    opens the cycle, leaving connected sums of (2, a_j) torus links (split
-    pieces between several zeros contribute a delta factor each).
+    The skein relation at a crossing of a region with a crossings reads
+    P(.., a, ..) = v z P(.., a-1, ..) + v^2 P(.., a-2, ..), so
+    P(.., a, ..) = A_a P(.., 0, ..) + B_a P(.., 1, ..), where A and B obey
+    the same recurrence from (A_0, A_1) = (1, 0) and (B_0, B_1) = (0, 1).
+    Expanding every region this way leaves regions of 0 or 1 crossings: with
+    e >= 1 empty regions the cycle falls apart into e unknots
+    (delta^(e-1)), and with none it is the necklace of ones.  Every
+    expansion is a loop, so no recursion grows with the twist counts.
     """
     a = tuple(twists)
     if len(a) < 2:
@@ -227,22 +280,18 @@ def pretzel_homfly(twists: Sequence[int]) -> LaurentPoly2:
         )
     if any(t < 0 for t in a):
         raise ValueError("twist counts must be non-negative")
-    return _pretzel(a)
+    # ``split`` sums the expansions with an empty region among those seen so
+    # far; ``whole`` is the coefficient of the expansion with none.
+    one, zero = LaurentPoly2.one(), LaurentPoly2.zero()
+    split, whole = zero, one
+    for t in a:
+        a_t, b_t = _twist(one, zero, t), _twist(zero, one, t)
+        # Once some region is empty, this one adds delta A_t (emptied) + B_t
+        # (kept), which is P of the (2, t) torus link.
+        split, whole = split * _torus2(t) + whole * a_t, whole * b_t
+    return split + whole * _ones_necklace(len(a))
 
 
-@lru_cache(maxsize=None)
-def _pretzel(a: tuple[int, ...]) -> LaurentPoly2:
-    if 0 in a:
-        return _pretzel_split(a)
-    if all(t == 1 for t in a):
-        return _ones_necklace(len(a))
-    i = max(range(len(a)), key=lambda j: a[j])
-    minus1 = a[:i] + (a[i] - 1,) + a[i + 1 :]
-    minus2 = a[:i] + (a[i] - 2,) + a[i + 1 :]
-    return _pretzel(minus1).scale_by_monomial(1, 1, 1) + _pretzel(minus2).scale_by_monomial(1, 2, 0)
-
-
-@lru_cache(maxsize=None)
 def _ones_necklace(k: int) -> LaurentPoly2:
     """The pretzel whose k regions (k even) hold one positive crossing each.
 
@@ -251,30 +300,7 @@ def _ones_necklace(k: int) -> LaurentPoly2:
     smoothing one crossing yields an unknot and switching removes two:
     A(k) = v z + v^2 A(k-2) with A(0) the two-component unlink.
     """
-    if k == 0:
-        return delta_unlink_factor()
-    return LaurentPoly2.monomial(1, 1, 1) + _ones_necklace(k - 2).scale_by_monomial(1, 2, 0)
-
-
-def _pretzel_split(a: tuple[int, ...]) -> LaurentPoly2:
-    # Cut the cycle at every empty region; each segment is a connected sum
-    # of torus links and distinct segments are split from each other.
-    zeros = [i for i, t in enumerate(a) if t == 0]
-    segments: list[list[int]] = []
-    n = len(a)
-    for idx, z in enumerate(zeros):
-        nxt = zeros[(idx + 1) % len(zeros)]
-        seg = []
-        j = (z + 1) % n
-        while j != nxt:
-            seg.append(a[j])
-            j = (j + 1) % n
-        segments.append(seg)
-    out = LaurentPoly2.one()
-    for seg in segments:
-        for t in seg:
-            out = out * torus_homfly(t)
-    d = delta_unlink_factor()
-    for _ in range(len(zeros) - 1):
-        out = out * d
+    out = delta_unlink_factor()
+    for _ in range(k // 2):
+        out = LaurentPoly2.monomial(1, 1, 1) + out.scale_by_monomial(1, 2, 0)
     return out

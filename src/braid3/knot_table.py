@@ -18,6 +18,7 @@ interesting realizability queries) must be supplied externally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import TableFormatError
@@ -41,13 +42,18 @@ class KnotTable:
                 return p
         return None
 
+    @cached_property
+    def _first_by_polynomial(self) -> dict[LaurentPoly2, tuple[int, str]]:
+        index: dict[LaurentPoly2, tuple[int, str]] = {}
+        for i, (name, poly, _) in enumerate(self.entries):
+            index.setdefault(poly, (i, name))
+        return index
+
     def match(self, p: LaurentPoly2) -> str | None:
         """First name whose polynomial equals p or its mirror image."""
-        q = mirror_image(p)
-        for name, poly, _ in self.entries:
-            if poly == p or poly == q:
-                return name
-        return None
+        index = self._first_by_polynomial
+        hits = [hit for hit in (index.get(p), index.get(mirror_image(p))) if hit]
+        return min(hits)[1] if hits else None
 
 
 def _apply_convention(p: LaurentPoly2, convention: str) -> LaurentPoly2:

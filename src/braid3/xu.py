@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import ConsistencyError
 from .words import (
     DELTA,
     Word,
@@ -173,7 +174,8 @@ def cancel_factors(L: Sequence[int], k: int, R: Sequence[int]) -> XuNormalForm:
         return XuNormalForm(TYPE_A_POSITIVE, (), k, R_out, conjugator)
     if not R_out and k <= 0:
         return XuNormalForm(TYPE_A_NEGATIVE, L_out, -k, (), conjugator)
-    assert k == 0, "a mixed form can only terminate with no delta power"
+    if k != 0:
+        raise ConsistencyError(f"mixed form L={L_out} R={R_out} ended with delta power {k}")
     return XuNormalForm(TYPE_B, L_out, 0, R_out, conjugator)
 
 

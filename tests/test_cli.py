@@ -52,6 +52,15 @@ def test_torus_and_pretzel(capsys):
     assert out.strip() == trefoil
 
 
+def test_long_torus_and_pretzel_exit_zero(capsys):
+    # each once recursed per crossing past the interpreter's depth limit
+    for argv in (["torus", "3000"], ["torus", "-3000"], ["pretzel", "900,2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert err == ""
+        assert parse_poly(out).max_deg_z() == (2999 if argv[0] == "torus" else 901)
+
+
 def test_pretzel_odd_region_count_exits_one(capsys):
     code, out, err = run_cli(capsys, "pretzel", "3,3,3")
     assert code == 1

@@ -25,10 +25,41 @@ from braid3.knot_table import make_table
 from braid3.laurent import parse_poly
 from braid3.words import cyclic_rotate, shift_indices
 from braid3.xu import reduce
-from conftest import words_st
+from conftest import random_word, words_st
+
+
+def canonical_key_by_definition(word):
+    # the least of all 3n shifted rotations, built one by one
+    w = tuple(word)
+    if not w:
+        return w
+    return min(shift_indices(cyclic_rotate(w, r), s) for r in range(len(w)) for s in range(3))
 
 
 class TestCanonicalKey:
+    def test_equals_definition_on_seeded_words(self, rng):
+        special = [
+            (),
+            *[(l,) for l in (1, 2, 3, -1, -2, -3)],
+            (-1, -2, -3, -1),
+            (-3, -3, -2, -2, -1),
+            (1, 2) * 6,
+            (1, -2) * 5,
+            (2, 1) * 4,
+            (3,) * 7,
+            (-2,) * 5,
+            (1, 2, 3) * 3,
+            (-1, -1, 2) * 3,
+        ]
+        seeded = [random_word(rng, 14) for _ in range(600)]
+        negative = [tuple(-abs(l) for l in random_word(rng, 10, 1)) for _ in range(100)]
+        for w in special + seeded + negative:
+            assert canonical_key(w) == canonical_key_by_definition(w), w
+
+    @given(words_st)
+    def test_equals_definition(self, w):
+        assert canonical_key(w) == canonical_key_by_definition(w)
+
     @given(words_st, st.integers(0, 11), st.integers(0, 2))
     def test_constant_on_orbits(self, w, r, s):
         assert canonical_key(w) == canonical_key(shift_indices(cyclic_rotate(w, r), s))

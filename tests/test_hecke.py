@@ -1,12 +1,19 @@
+import itertools
+import random
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braid3.enumeration import constructive_orbits
 from braid3.hecke import (
     TRACE_TABLE,
+    _torus2,
     fold_letter,
     fold_word,
     homfly,
+    homfly_many,
     pretzel_homfly,
     skein_oracle,
     torus_homfly,
@@ -225,3 +232,97 @@ class TestPretzel:
         assert p.min_deg_v() == p.max_deg_z() == 5
         assert p.max_deg_v() == 11
         assert p.max_deg_v() - p.min_deg_v() == 6
+
+
+# The former recursive evaluations, one call per crossing, kept as oracles
+# for the iterative ones on inputs small enough for the recursion.
+
+@lru_cache(maxsize=None)
+def _torus2_recursive(k):
+    if k == 0:
+        return delta_unlink_factor()
+    if k == 1:
+        return LaurentPoly2.one()
+    if k >= 2:
+        return _torus2_recursive(k - 1).scale_by_monomial(1, 1, 1) + _torus2_recursive(
+            k - 2
+        ).scale_by_monomial(1, 2, 0)
+    return _torus2_recursive(k + 2).scale_by_monomial(1, -2, 0) - _torus2_recursive(
+        k + 1
+    ).scale_by_monomial(1, -1, 1)
+
+
+def _necklace_recursive(k):
+    if k == 0:
+        return delta_unlink_factor()
+    return LaurentPoly2.monomial(1, 1, 1) + _necklace_recursive(k - 2).scale_by_monomial(1, 2, 0)
+
+
+@lru_cache(maxsize=None)
+def _pretzel_recursive(a):
+    if 0 in a:
+        # cut the cycle at every empty region: connected sums of torus
+        # links, one delta per extra split piece
+        out = LaurentPoly2.one()
+        for t in a:
+            if t:
+                out = out * _torus2_recursive(t)
+        for _ in range(a.count(0) - 1):
+            out = out * delta_unlink_factor()
+        return out
+    if all(t == 1 for t in a):
+        return _necklace_recursive(len(a))
+    i = max(range(len(a)), key=lambda j: a[j])
+    minus1 = a[:i] + (a[i] - 1,) + a[i + 1 :]
+    minus2 = a[:i] + (a[i] - 2,) + a[i + 1 :]
+    return _pretzel_recursive(minus1).scale_by_monomial(1, 1, 1) + _pretzel_recursive(
+        minus2
+    ).scale_by_monomial(1, 2, 0)
+
+
+class TestIterativeEqualsRecursive:
+    def test_torus(self):
+        for k in range(-12, 13):
+            assert _torus2(k) == _torus2_recursive(k)
+            assert torus_homfly(k) == (
+                _torus2_recursive(k) if k >= 0 else mirror_image(_torus2_recursive(-k))
+            )
+
+    @pytest.mark.parametrize(
+        "twists",
+        list(itertools.product(range(1, 5), repeat=2))
+        + list(itertools.product((2, 3), repeat=4))
+        + [(0, 0), (0, 3), (3, 0, 0, 2), (0, 2, 3, 0, 1, 4), (1, 1, 1, 1, 1, 1)],
+    )
+    def test_pretzel(self, twists):
+        assert pretzel_homfly(twists) == _pretzel_recursive(twists)
+
+
+def _homfly_by_basis_products(word):
+    # pair the folded vector with the trace table in LaurentPoly2 arithmetic
+    out = LaurentPoly2.zero()
+    for coeff, closed in zip(fold_word(word), TRACE_TABLE):
+        out = out + coeff * closed
+    return out
+
+
+class TestHomflyMany:
+    @given(words_st)
+    def test_raw_closing_equals_polynomial_pairing(self, w):
+        assert homfly(w) == _homfly_by_basis_products(w)
+
+    @pytest.fixture(scope="class")
+    def orbit_keys(self):
+        return sorted(k for n in range(9) for k in constructive_orbits(n))
+
+    def test_sorted_reversed_shuffled(self, orbit_keys):
+        expected = {w: homfly(w) for w in orbit_keys}
+        shuffled = list(orbit_keys)
+        random.Random(1987).shuffle(shuffled)
+        for words in (orbit_keys, orbit_keys[::-1], shuffled):
+            assert homfly_many(words) == [expected[w] for w in words]
+
+    def test_duplicates_and_empty_word(self):
+        words = [(), (1, 2), (1, 2), (), (1, 2, 3), (1,), (1, 2), (), (-3, 1, -2)]
+        assert homfly_many(words) == [homfly(w) for w in words]
+        assert homfly_many([]) == []

@@ -1,5 +1,6 @@
 import pytest
 
+from braid3.enumeration import enumerate_minimal
 from braid3.errors import TableFormatError
 from braid3.hecke import homfly
 from braid3.knot_table import (
@@ -9,7 +10,7 @@ from braid3.knot_table import (
     parse_table,
     render_table,
 )
-from braid3.laurent import mirror_image, parse_poly
+from braid3.laurent import mirror_image, parse_poly, render_poly
 
 
 def test_parse_basic_lines():
@@ -24,6 +25,38 @@ def test_match_prefers_first_and_sees_mirrors():
     assert table.match(homfly((1, -2, 1, -2))) == "4_1"
     assert table.match(mirror_image(homfly((1, 1, 1, 2)))) == "3_1"
     assert table.match(parse_poly("7*v^0*z^0")) is None
+
+
+def _match_by_scan(table, p):
+    # the first entry equal to p or to its mirror image, by a linear scan
+    q = mirror_image(p)
+    return next((name for name, poly, _ in table.entries if poly in (p, q)), None)
+
+
+def test_match_first_entry_wins_on_shared_polynomials():
+    trefoil = homfly((1, 1, 1, 2))
+    lines = [
+        "first,1,1*v^0*z^0",
+        "second,1,1*v^0*z^0",
+        f"right,1,{render_poly(trefoil)}",
+        f"left,1,{render_poly(mirror_image(trefoil))}",
+    ]
+    table = parse_table(lines)
+    assert table.match(parse_poly("1")) == "first"
+    assert table.match(trefoil) == "right"
+    assert table.match(mirror_image(trefoil)) == "right"
+    swapped = parse_table([lines[3], lines[2]])
+    assert swapped.match(trefoil) == "left"
+    assert swapped.match(mirror_image(trefoil)) == "left"
+    assert table.match(parse_poly("7*v^0*z^0")) is None
+    assert parse_table([]).match(trefoil) is None
+
+
+def test_match_equals_linear_scan_on_census():
+    table = make_table()
+    for n in range(9):
+        for entry in enumerate_minimal(n):
+            assert table.match(entry.polynomial) == _match_by_scan(table, entry.polynomial)
 
 
 def test_round_trip(tmp_path):
