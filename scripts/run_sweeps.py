@@ -1,9 +1,10 @@
 """Sweep every minimal-word orbit up to a band cap and check the degree laws.
 
 For each length this verifies, orbit by orbit:
-  * max deg_z P = length - 2 (so the genus is visible in the polynomial),
-  * min deg_v P <= max deg_z P,
-  * the z-leading coefficient lies in the allowed unit classes,
+  * the laws of ``braid3.invariants.check_laws``: max deg_z P = length - 2
+    (so the genus is visible in the polynomial), min deg_v P <= max deg_z P,
+    and the z-leading coefficient lies in the allowed unit classes,
+  * no -(1 + v^2) leading coefficient for 1 or 3 components,
   * the strong-quasipositivity criterion implies a positive band form.
 
 Usage:  python scripts/run_sweeps.py [--max-bands N]
@@ -16,7 +17,7 @@ from collections import Counter
 
 from braid3.enumeration import enumerate_minimal
 from braid3.errors import ConsistencyError
-from braid3.invariants import ONE_PLUS_V2, OTHER, classify_leading_coefficient, pmcf_predicate
+from braid3.invariants import ONE_PLUS_V2, check_laws, pmcf_predicate
 from braid3.xu import is_strongly_quasipositive
 
 
@@ -39,10 +40,7 @@ def main() -> int:
         kinds = Counter(e.components for e in entries)
         for e in entries:
             p = e.polynomial
-            law(p.max_deg_z() == n - 2, "max deg_z = length - 2", e)
-            law(p.min_deg_v() <= n - 2, "min deg_v <= length - 2", e)
-            cls = classify_leading_coefficient(p, e.chi)
-            law(cls.tag != OTHER, "leading coefficient in an allowed class", e)
+            cls = check_laws(p, e.chi, e.word)
             law(
                 not (e.components in (1, 3) and cls.tag == ONE_PLUS_V2 and cls.sign == -1),
                 "no -(1 + v^2) leading coefficient for 1 or 3 components",

@@ -9,21 +9,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import enumeration, invariants, knot_table, xu
 from .errors import ConsistencyError
 from .hecke import homfly, pretzel_homfly, torus_homfly
-from .laurent import parse_poly, render_poly
+from .invariants import CoeffClass
+from .laurent import LaurentPoly1, LaurentPoly2, parse_poly, render_poly
 from .words import parse_word, render_word
-
-ENV_MAX_BANDS = "BRAID3_MAX_BANDS"
-
-
-def _default_cap() -> int:
-    value = os.environ.get(ENV_MAX_BANDS)
-    return int(value) if value else enumeration.DEFAULT_MAX_BANDS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,14 +42,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
 
     p = sub.add_parser("enumerate", help="minimal-word census up to a band count")
-    p.add_argument("--max-bands", type=int, default=None)
+    p.add_argument("--max-bands", type=int, default=enumeration.DEFAULT_MAX_BANDS)
     p.add_argument("--genus", type=int, default=None)
     p.add_argument("--table", default=None)
 
     p = sub.add_parser("check-poly", help="decide 3-braid realizability of a polynomial")
     p.add_argument("--poly", required=True)
     p.add_argument("--table", default=None)
-    p.add_argument("--max-bands", type=int, default=None)
+    p.add_argument("--max-bands", type=int, default=enumeration.DEFAULT_MAX_BANDS)
 
     p = sub.add_parser("torus", help="skein polynomial of the (2,k) torus link")
     p.add_argument("k", type=int)
@@ -78,6 +71,19 @@ def _emit(args, structured: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _plain(value):
+    """A report field as JSON-ready data: words, polynomials and classes as text."""
+    if isinstance(value, tuple):
+        return render_word(value)
+    if isinstance(value, LaurentPoly2):
+        return render_poly(value)
+    if isinstance(value, LaurentPoly1):
+        return value.render()
+    if isinstance(value, CoeffClass):
+        return str(value)
+    return value
+
+
 def _reduce_payload(word) -> dict:
     nf = xu.reduce(word)
     chi = 3 - nf.minimal_length
@@ -95,8 +101,6 @@ def _reduce_payload(word) -> dict:
 
 
 def _run(args) -> int:
-    cap = _default_cap()
-
     if args.command == "reduce":
         word = parse_word(args.word)
         payload = _reduce_payload(word)
@@ -112,35 +116,20 @@ def _run(args) -> int:
     if args.command == "invariants":
         word = parse_word(args.word)
         rep = invariants.report(word)
-        payload = {
-            "word": render_word(rep.word),
-            "minimal_length": rep.minimal_length,
-            "chi": rep.chi,
-            "components": rep.components,
-            "genus": rep.genus,
-            "quasipositive": rep.quasipositive,
-            "polynomial": render_poly(rep.polynomial),
-            "max_deg_z": rep.max_deg_z,
-            "min_deg_v": rep.min_deg_v,
-            "max_deg_v": rep.max_deg_v,
-            "leading_class": str(rep.leading_class),
-            "mwf_bound": rep.mwf_bound,
-            "conway": rep.conway.render(),
-            "alexander": rep.alexander.render(),
-        }
+        payload = {f.name: _plain(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
         _emit(args, payload, [f"{k}: {v}" for k, v in payload.items()])
         return 0
 
     if args.command == "enumerate":
-        max_bands = args.max_bands if args.max_bands is not None else cap
+        cap = max(enumeration.DEFAULT_MAX_BANDS, args.max_bands)
         table = knot_table.load_table(args.table) if args.table else None
         rows = []
         if args.genus is not None:
-            entries = enumeration.genus_census(args.genus, table=table, cap=max(cap, max_bands))
+            entries = enumeration.genus_census(args.genus, table=table, cap=cap)
         else:
             entries = []
-            for n in range(max_bands + 1):
-                entries.extend(enumeration.enumerate_minimal(n, cap=max(cap, max_bands)))
+            for n in range(args.max_bands + 1):
+                entries.extend(enumeration.enumerate_minimal(n, cap=cap))
             if table is not None:
                 entries = [
                     dataclasses.replace(e, matched_name=table.match(e.polynomial))
@@ -172,8 +161,7 @@ def _run(args) -> int:
     if args.command == "check-poly":
         p = parse_poly(args.poly)
         table = knot_table.load_table(args.table) if args.table else None
-        max_bands = args.max_bands if args.max_bands is not None else cap
-        verdict = enumeration.realizable_3braid(p, table=table, cap=max_bands)
+        verdict = enumeration.realizable_3braid(p, cap=args.max_bands)
         name = table.match(p) if table is not None else None
         payload = {
             "realizable": verdict.realizable,

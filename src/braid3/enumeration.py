@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 from . import xu
 from .errors import CapExceededError, ConsistencyError
 from .hecke import homfly_many, pretzel_homfly
-from .invariants import mwf_lower_bound
+from .invariants import OTHER, check_laws, classify_leading_coefficient, mwf_lower_bound
 from .laurent import LaurentPoly2, mirror_image
 from .words import DELTA, Word, closure_components, inverse, shift_letter
 
@@ -161,7 +161,10 @@ class SweepReport:
 
 
 def verify_theorem1(max_length: int, cap: int = DEFAULT_MAX_BANDS) -> SweepReport:
-    """Assert max deg_z P = length - 2 on every minimal orbit up to max_length."""
+    """Check the laws on every minimal orbit up to max_length.
+
+    On an orbit of length n the first law reads max deg_z P = n - 2.
+    """
     counts: dict[int, int] = {}
     checked = 0
     for n in range(max_length + 1):
@@ -169,11 +172,7 @@ def verify_theorem1(max_length: int, cap: int = DEFAULT_MAX_BANDS) -> SweepRepor
         counts[n] = len(entries)
         for e in entries:
             checked += 1
-            if e.polynomial.max_deg_z() != n - 2:
-                raise ConsistencyError(
-                    f"max deg_z {e.polynomial.max_deg_z()} != {n - 2} "
-                    f"for minimal word {e.word}"
-                )
+            check_laws(e.polynomial, e.chi, e.word)
     return SweepReport(max_length=max_length, orbit_counts=counts, checked=checked)
 
 
@@ -208,9 +207,7 @@ class RealizabilityVerdict:
     witness: Word | None = None
 
 
-def realizable_3braid(
-    p: LaurentPoly2, table=None, cap: int = DEFAULT_MAX_BANDS
-) -> RealizabilityVerdict:
+def realizable_3braid(p: LaurentPoly2, cap: int = DEFAULT_MAX_BANDS) -> RealizabilityVerdict:
     """Decide whether a polynomial is the skein polynomial of some closed 3-braid.
 
     The pipeline runs the cheap obstructions first and finishes with an
@@ -225,8 +222,6 @@ def realizable_3braid(
     if len(parities) != 1:
         return RealizabilityVerdict(False, REASON_PARITY)
     chi = 1 - p.max_deg_z()
-    from .invariants import OTHER, classify_leading_coefficient
-
     if classify_leading_coefficient(p, chi).tag == OTHER:
         return RealizabilityVerdict(False, REASON_LEADING)
     length = 3 - chi

@@ -6,24 +6,27 @@ g^{-1} = v^{-2} g - v^{-1} z.  Modulo these relations and the braid
 relation, words in s1 = a and s2 = b span a 6-dimensional algebra with the
 positive permutation braids B = {1, a, b, ab, ba, aba} as a basis.  A word
 is evaluated by folding its letters into a coefficient vector over B
-(band letters s3 are first rewritten as s1^{-1} s2 s1) and then pairing
+(a run of band letters s3^{e_1} ... s3^{e_k} is first rewritten as
+s1^{-1} s2^{e_1} ... s2^{e_k} s1 by ``words.to_artin``) and then pairing
 with the closure polynomial of each basis braid:
 
     1 -> delta^2   a, b -> delta   ab, ba -> 1   aba -> v z + v^2 delta
 
 where delta = (v^{-1} - v)/z.  Those six values are forced by the skein
-relation alone; ``trace_table_from_oracle`` rederives them from the
-independent skein-tree evaluator at import time and refuses to run if
-they disagree with the frozen constants.
+relation alone; ``trace_table_from_oracle`` rederives them at import time
+from closed 2-braids (the closed form of the skein relation on a twist
+region) and Markov moves, and refuses to run if they disagree with the
+frozen constants.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 from .errors import ConsistencyError
 from .laurent import LaurentPoly2, delta_unlink_factor, mirror_image
+from .words import to_artin
 
 # Basis indices: 0 = 1, 1 = a, 2 = b, 3 = ab, 4 = ba, 5 = aba.
 _VZ = (1, 1)
@@ -49,8 +52,6 @@ _RIGHT_B = (
     ((5, _UNIT),),
     ((5, _VZ), (4, _V2)),
 )
-
-HeckeVector = tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2, LaurentPoly2, LaurentPoly2, LaurentPoly2]
 
 _Raw = list[dict[tuple[int, int], int]]
 
@@ -91,37 +92,6 @@ def _raw_fold(vec: _Raw, letter: int) -> _Raw:
     return out
 
 
-def _expand_bands(word: Sequence[int]):
-    for letter in word:
-        if abs(letter) == 3:
-            yield -1
-            yield 2 if letter > 0 else -2
-            yield 1
-        else:
-            yield letter
-
-
-def fold_letter(vec: HeckeVector, letter: int) -> HeckeVector:
-    """Right-multiply a basis-coefficient vector by one band letter."""
-    raw = [p.terms_dict() for p in vec]
-    for l in _expand_bands((letter,)):
-        raw = _raw_fold(raw, l)
-    return tuple(LaurentPoly2(t) for t in raw)  # type: ignore[return-value]
-
-
-def unit_vector() -> HeckeVector:
-    return tuple(
-        LaurentPoly2.one() if i == 0 else LaurentPoly2.zero() for i in range(6)
-    )  # type: ignore[return-value]
-
-
-def fold_word(word: Sequence[int]) -> HeckeVector:
-    raw = _raw_unit()
-    for l in _expand_bands(word):
-        raw = _raw_fold(raw, l)
-    return tuple(LaurentPoly2(t) for t in raw)  # type: ignore[return-value]
-
-
 def _trace_table() -> tuple[LaurentPoly2, ...]:
     d = delta_unlink_factor()
     hopf = LaurentPoly2.monomial(1, 1, 1) + d.scale_by_monomial(1, 2, 0)
@@ -148,7 +118,7 @@ def _close(raw: _Raw) -> LaurentPoly2:
 def homfly(word: Sequence[int]) -> LaurentPoly2:
     """Skein polynomial of the closure, via the linear-time basis fold."""
     raw = _raw_unit()
-    for l in _expand_bands(word):
+    for l in to_artin(word):
         raw = _raw_fold(raw, l)
     return _close(raw)
 
@@ -156,7 +126,7 @@ def homfly(word: Sequence[int]) -> LaurentPoly2:
 def homfly_many(words: Sequence[Sequence[int]]) -> list[LaurentPoly2]:
     """``homfly`` of each word, folding a prefix shared with the previous word once.
 
-    ``stack[i]`` is the fold of the first i band letters of the previous
+    ``stack[i]`` is the fold of the first i Artin letters of the previous
     word, so a sorted list of short words costs little more than its
     distinct suffixes.
     """
@@ -164,7 +134,7 @@ def homfly_many(words: Sequence[Sequence[int]]) -> list[LaurentPoly2]:
     prev: tuple[int, ...] = ()
     stack = [_raw_unit()]
     for word in words:
-        w = tuple(word)
+        w = to_artin(word)
         common = 0
         for x, y in zip(prev, w):
             if x != y:
@@ -172,9 +142,8 @@ def homfly_many(words: Sequence[Sequence[int]]) -> list[LaurentPoly2]:
             common += 1
         del stack[common + 1 :]
         raw = stack[common]
-        for letter in w[common:]:
-            for l in _expand_bands((letter,)):
-                raw = _raw_fold(raw, l)
+        for l in w[common:]:
+            raw = _raw_fold(raw, l)
             stack.append(raw)
         out.append(_close(raw))
         prev = w
@@ -182,44 +151,51 @@ def homfly_many(words: Sequence[Sequence[int]]) -> list[LaurentPoly2]:
 
 
 # ---------------------------------------------------------------------------
-# Independent skein-tree oracle on 2-braid closures, used to certify the
-# trace table and the torus recursion rather than trusting transcription.
+# Closed 2-braids from the closed form of the skein relation on a twist
+# region.  They certify the trace table through Markov moves rather than
+# trusting transcription, and they drive the torus and pretzel evaluations.
 
 def skein_oracle(word: Sequence[int]) -> LaurentPoly2:
-    """Closure polynomial of a word over s1 (2-strand closure), by skein tree.
+    """Closure polynomial of a word over s1 (2-strand closure).
 
-    The domain is words in {±1} with at most one trailing ±2 letter, the
-    trailing letter being a stabilisation that does not change the closure.
+    In the 2-strand group the word is s1^e for its exponent sum e, so this
+    is ``_torus2(e)``.  The domain is words in {±1} with at most one
+    trailing ±2 letter, the trailing letter being a stabilisation that does
+    not change the closure.
     """
     letters = tuple(word)
     if letters and abs(letters[-1]) == 2:
         letters = letters[:-1]
     if any(abs(l) != 1 for l in letters):
         raise ValueError("skein_oracle handles s1-words with one optional trailing s2")
-    # In the 2-strand group the word is s1^e; resolve crossings recursively.
     return _torus2(sum(1 if l > 0 else -1 for l in letters))
 
 
-def _twist(f0: LaurentPoly2, f1: LaurentPoly2, n: int) -> LaurentPoly2:
-    """f(n) from f(0) and f(1) under f(j) = v z f(j-1) + v^2 f(j-2).
+def _chain(m: int) -> LaurentPoly2:
+    """B_m = v^(m-1) sum_i C(m-1-i, i) z^(m-1-2i); zero for m = 0."""
+    return LaurentPoly2(
+        {(m - 1, m - 1 - 2 * i): comb(m - 1 - i, i) for i in range((m + 1) // 2)}
+    )
+
+
+def _twist(n: int) -> tuple[LaurentPoly2, LaurentPoly2]:
+    """(A_n, B_n) with f(n) = A_n f(0) + B_n f(1) under f(j) = v z f(j-1) + v^2 f(j-2).
 
     This is the skein relation at a positive crossing of a twist region.
+    B obeys it from (B_0, B_1) = (0, 1), which ``_chain`` solves in closed
+    form, and A_n = v^2 B_(n-1) with A_0 = 1.
     """
-    for _ in range(n):
-        f0, f1 = f1, f1.scale_by_monomial(1, 1, 1) + f0.scale_by_monomial(1, 2, 0)
-    return f0
+    if n == 0:
+        return LaurentPoly2.one(), LaurentPoly2.zero()
+    return _chain(n - 1).scale_by_monomial(1, 2, 0), _chain(n)
 
 
-@lru_cache(maxsize=None)
 def _torus2(k: int) -> LaurentPoly2:
-    # P(0) = delta and P(1) = 1; negative k runs the relation downwards,
-    # P(j) = v^{-2} P(j+2) - v^{-1} z P(j+1).
-    if k >= 0:
-        return _twist(delta_unlink_factor(), LaurentPoly2.one(), k)
-    a, b = LaurentPoly2.one(), delta_unlink_factor()  # P(j+2), P(j+1)
-    for _ in range(-k):
-        a, b = b, a.scale_by_monomial(1, -2, 0) - b.scale_by_monomial(1, -1, 1)
-    return b
+    """P of the 2-strand closure of s1^k, from P(0) = delta and P(1) = 1."""
+    if k < 0:
+        return mirror_image(_torus2(-k))
+    a, b = _twist(k)
+    return a * delta_unlink_factor() + b
 
 
 def trace_table_from_oracle() -> tuple[LaurentPoly2, ...]:
@@ -245,13 +221,11 @@ _check_trace_table()
 
 
 # ---------------------------------------------------------------------------
-# Torus and pretzel evaluations driven by the same recursion.
+# Torus and pretzel evaluations driven by the same closed form.
 
 def torus_homfly(k: int) -> LaurentPoly2:
     """P of the (2,k) torus link, the closure of s1^k s2."""
-    if k >= 0:
-        return _torus2(k)
-    return mirror_image(_torus2(-k))
+    return _torus2(k)
 
 
 def pretzel_homfly(twists: Sequence[int]) -> LaurentPoly2:
@@ -265,7 +239,8 @@ def pretzel_homfly(twists: Sequence[int]) -> LaurentPoly2:
     The skein relation at a crossing of a region with a crossings reads
     P(.., a, ..) = v z P(.., a-1, ..) + v^2 P(.., a-2, ..), so
     P(.., a, ..) = A_a P(.., 0, ..) + B_a P(.., 1, ..), where A and B obey
-    the same recurrence from (A_0, A_1) = (1, 0) and (B_0, B_1) = (0, 1).
+    the same recurrence from (A_0, A_1) = (1, 0) and (B_0, B_1) = (0, 1)
+    (``_twist`` gives both in closed form).
     Expanding every region this way leaves regions of 0 or 1 crossings: with
     e >= 1 empty regions the cycle falls apart into e unknots
     (delta^(e-1)), and with none it is the necklace of ones.  Every
@@ -282,13 +257,13 @@ def pretzel_homfly(twists: Sequence[int]) -> LaurentPoly2:
         raise ValueError("twist counts must be non-negative")
     # ``split`` sums the expansions with an empty region among those seen so
     # far; ``whole`` is the coefficient of the expansion with none.
-    one, zero = LaurentPoly2.one(), LaurentPoly2.zero()
-    split, whole = zero, one
+    d = delta_unlink_factor()
+    split, whole = LaurentPoly2.zero(), LaurentPoly2.one()
     for t in a:
-        a_t, b_t = _twist(one, zero, t), _twist(zero, one, t)
+        a_t, b_t = _twist(t)
         # Once some region is empty, this one adds delta A_t (emptied) + B_t
         # (kept), which is P of the (2, t) torus link.
-        split, whole = split * _torus2(t) + whole * a_t, whole * b_t
+        split, whole = split * (a_t * d + b_t) + whole * a_t, whole * b_t
     return split + whole * _ones_necklace(len(a))
 
 

@@ -4,8 +4,8 @@ The central facts wired in as runtime checks: for every closed 3-braid,
 the top z-degree of the skein polynomial equals 1 - chi, the bottom
 v-degree never exceeds 1 - chi, and the coefficient of z^{1-chi} is, up to
 a unit +-v^k, one of 1, 1+v^2, 1-v^2, with (1-v^2)^2 reserved for the
-3-component unlink.  A report that violates one of these raises
-``ConsistencyError`` (a bug), never a user error.
+3-component unlink.  ``check_laws`` is the one place they are checked; a
+violation raises ``ConsistencyError`` (a bug), never a user error.
 """
 
 from __future__ import annotations
@@ -59,6 +59,29 @@ def classify_leading_coefficient(p: LaurentPoly2, chi: int) -> CoeffClass:
     if items == {lo: sign, lo + 2: -2 * sign, lo + 4: sign}:
         return CoeffClass(THREE_UNLINK_SQUARE, sign, lo)
     return CoeffClass(OTHER)
+
+
+def check_laws(p: LaurentPoly2, chi: int, word: Sequence[int]) -> CoeffClass:
+    """Check the degree and coefficient laws for the closure of ``word``.
+
+    ``chi`` is the closure's maximal Euler characteristic.  Returns the class
+    of the z-leading coefficient; a failed law raises ``ConsistencyError``
+    naming the law and the word.
+    """
+    max_z = p.max_deg_z()
+    if max_z != 1 - chi:
+        raise ConsistencyError(
+            f"top z-degree {max_z} differs from 1 - chi = {1 - chi} for {word}"
+        )
+    min_v = p.min_deg_v()
+    if min_v > 1 - chi:
+        raise ConsistencyError(
+            f"bottom v-degree {min_v} exceeds 1 - chi = {1 - chi} for {word}"
+        )
+    leading = classify_leading_coefficient(p, chi)
+    if leading.tag == OTHER:
+        raise ConsistencyError(f"leading coefficient outside the allowed classes for {word}")
+    return leading
 
 
 def mwf_lower_bound(p: LaurentPoly2) -> int:
@@ -131,19 +154,7 @@ def report(word: Sequence[int]) -> InvariantReport:
     chi = 3 - nf.minimal_length
     m = closure_components(w)
     p = homfly(w)
-    max_z = p.max_deg_z()
-    if max_z != 1 - chi:
-        raise ConsistencyError(
-            f"top z-degree {max_z} differs from 1 - chi = {1 - chi} for {w}"
-        )
-    min_v = p.min_deg_v()
-    if min_v > 1 - chi:
-        raise ConsistencyError(
-            f"bottom v-degree {min_v} exceeds 1 - chi = {1 - chi} for {w}"
-        )
-    leading = classify_leading_coefficient(p, chi)
-    if leading.tag == OTHER:
-        raise ConsistencyError(f"leading coefficient outside the allowed classes for {w}")
+    leading = check_laws(p, chi, w)
     nabla = conway(p)
     return InvariantReport(
         word=w,
@@ -153,8 +164,8 @@ def report(word: Sequence[int]) -> InvariantReport:
         genus=(2 - chi - m) // 2,
         quasipositive=xu.is_strongly_quasipositive(w),
         polynomial=p,
-        max_deg_z=max_z,
-        min_deg_v=min_v,
+        max_deg_z=p.max_deg_z(),
+        min_deg_v=p.min_deg_v(),
         max_deg_v=p.max_deg_v(),
         leading_class=leading,
         mwf_bound=mwf_lower_bound(p),

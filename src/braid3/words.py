@@ -119,8 +119,7 @@ def mirror(word: Sequence[int]) -> Word:
     the expansion is taken first; words without s3 letters are negated
     letter by letter as expected.
     """
-    artin, _ = to_artin(word)
-    return tuple(-l for l in artin)
+    return tuple(-l for l in to_artin(word))
 
 
 def inverse(word: Sequence[int]) -> Word:
@@ -143,8 +142,8 @@ def concat(*words: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def to_artin(word: Sequence[int]) -> tuple[Word, int]:
-    """Rewrite over s1, s2 only, returning (word, crossing count).
+def to_artin(word: Sequence[int]) -> Word:
+    """Rewrite over s1, s2 only: the same element as an Artin word.
 
     Each maximal run of s3-letters is expanded as one conjugate
     s1^{-1} (s2-run) s1, so a run of k band letters costs k + 2 crossings.
@@ -164,7 +163,7 @@ def to_artin(word: Sequence[int]) -> tuple[Word, int]:
         out.extend(2 if l > 0 else -2 for l in letters[i:j])
         out.append(1)
         i = j
-    return tuple(out), len(out)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

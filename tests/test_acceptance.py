@@ -231,8 +231,8 @@ def test_criterion_10_realizability():
     table_path = os.environ.get("BRAID3_REF_TABLE")
     table = load_table(table_path) if table_path else None
     if table is not None and table.get("9_49") is not None and table.get("9_42") is not None:
-        v49 = realizable_3braid(table.get("9_49"), table=table)
-        v42 = realizable_3braid(table.get("9_42"), table=table)
+        v49 = realizable_3braid(table.get("9_49"))
+        v42 = realizable_3braid(table.get("9_42"))
         ok = (
             not v49.realizable
             and v49.reason == REASON_LEADING

@@ -1,8 +1,9 @@
 import json
 
+from braid3 import invariants
 from braid3.cli import run
 from braid3.hecke import homfly
-from braid3.laurent import parse_poly
+from braid3.laurent import LaurentPoly2, parse_poly
 from braid3.words import parse_word
 
 
@@ -114,6 +115,15 @@ def test_make_table_round_trip(capsys, tmp_path):
     assert load_table(str(path)) == make_table()
 
 
+def test_broken_law_exits_two(capsys, monkeypatch):
+    # a wrong polynomial breaks max deg_z = 1 - chi: a bug, not bad input
+    monkeypatch.setattr(invariants, "homfly", lambda word: LaurentPoly2.one())
+    code, out, err = run_cli(capsys, "invariants", "[1 1 1 2]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal error:") and "(1, 1, 1, 2)" in err
+
+
 def test_bad_word_exits_one(capsys):
     code, _, err = run_cli(capsys, "reduce", "[1 0]")
     assert code == 1
@@ -125,9 +135,8 @@ def test_bad_poly_exits_one(capsys):
     assert code == 1
 
 
-def test_inconclusive_cap_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv("BRAID3_MAX_BANDS", "6")
-    code, _, err = run_cli(capsys, "check-poly", "--poly", "1*v^0*z^40")
+def test_inconclusive_cap_exits_one(capsys):
+    code, _, err = run_cli(capsys, "check-poly", "--max-bands", "6", "--poly", "1*v^0*z^40")
     assert code == 1
     assert "cap" in err
 

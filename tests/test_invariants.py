@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from braid3.errors import ConsistencyError
 from braid3.hecke import homfly, pretzel_homfly
 from braid3.invariants import (
     ONE_MINUS_V2,
@@ -9,6 +10,7 @@ from braid3.invariants import (
     THREE_UNLINK_SQUARE,
     UNIT_MONOMIAL,
     c3_bound,
+    check_laws,
     classify_leading_coefficient,
     crossing_obstruction,
     maximally_monic,
@@ -40,6 +42,45 @@ class TestClassify:
 
     def test_other(self):
         assert classify_leading_coefficient(parse_poly("3*v^0*z^2"), -1).tag == OTHER
+
+
+class TestCheckLaws:
+    # the trefoil [1 1 1 2]: chi = -1, P = 2v^2 - v^4 + v^2 z^2
+    WORD = (1, 1, 1, 2)
+
+    def test_returns_leading_class(self):
+        p = homfly(self.WORD)
+        assert check_laws(p, -1, self.WORD) == classify_leading_coefficient(p, -1)
+
+    @pytest.mark.parametrize(
+        "doctored, law",
+        [
+            # z^2 times P: top z-degree 4, not 1 - chi = 2
+            pytest.param(
+                lambda p: p.scale_by_monomial(1, 0, 2),
+                "top z-degree 4 differs from 1 - chi = 2",
+                id="max-deg-z",
+            ),
+            # v^2 times P: bottom v-degree 4 > 2
+            pytest.param(
+                lambda p: p.scale_by_monomial(1, 2, 0),
+                "bottom v-degree 4 exceeds 1 - chi = 2",
+                id="min-deg-v",
+            ),
+            # z^2 coefficient 4 v^2: degrees hold, the leading class is OTHER
+            pytest.param(
+                lambda p: p + parse_poly("3*v^2*z^2"),
+                "leading coefficient outside the allowed classes",
+                id="leading-class",
+            ),
+        ],
+    )
+    def test_each_law_raises_naming_law_and_word(self, doctored, law):
+        p = doctored(homfly(self.WORD))
+        with pytest.raises(ConsistencyError) as info:
+            check_laws(p, -1, self.WORD)
+        assert law in str(info.value)
+        assert str(self.WORD) in str(info.value)
 
 
 class TestBounds:

@@ -41,7 +41,7 @@ class TestOracle:
         rng = random.Random(0x9D5)
         for _ in range(300):
             word = random_word(rng, 8)
-            pd, loops = braid_closure_pd(to_artin(word)[0])
+            pd, loops = braid_closure_pd(to_artin(word))
             assert pd_homfly(pd, loops) == homfly(word), word
 
     @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 import ast
+import importlib
 from pathlib import Path
 
 import braid3
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_package_has_no_assert_statements():
@@ -16,3 +19,36 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _trace_point(layer, path):
+    owner = importlib.import_module(f"braid3.{layer}")
+    *classes, attr = path.split(".")
+    for name in classes:
+        owner = getattr(owner, name)
+    return vars(owner)[attr]
+
+
+def _bindings(tracer):
+    modules = [braid3] + [importlib.import_module(f"braid3.{m}") for m in tracer.LAYERS]
+    return {(mod.__name__, key): value for mod in modules for key, value in vars(mod).items()}
+
+
+def test_perfbench_trace_points_resolve_and_restore(monkeypatch):
+    # ``perfbench/run.py --trace 1`` wraps these names from outside the
+    # package; a renamed or deleted entry point would break it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    before = {point: _trace_point(*point) for point in tracer.TRACE_POINTS}
+    bound = _bindings(tracer)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        wrapped = {point: _trace_point(*point) for point in tracer.TRACE_POINTS}
+    finally:
+        t.uninstall()
+    assert [p for p in before if wrapped[p] is before[p]] == []
+    assert [p for p in before if _trace_point(*p) is not before[p]] == []
+    after = _bindings(tracer)
+    assert after.keys() == bound.keys()
+    assert [key for key in bound if after[key] is not bound[key]] == []
