@@ -100,6 +100,14 @@ def _reduce_payload(word) -> dict:
     }
 
 
+def _max_bands(args) -> int:
+    """``--max-bands``, refused outside 0..MAX_BANDS_CEILING before any generation."""
+    n, ceiling = args.max_bands, enumeration.MAX_BANDS_CEILING
+    if not 0 <= n <= ceiling:
+        raise ValueError(f"{args.command}: --max-bands must be between 0 and {ceiling}, got {n}")
+    return n
+
+
 def _run(args) -> int:
     if args.command == "reduce":
         word = parse_word(args.word)
@@ -121,7 +129,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "enumerate":
-        cap = max(enumeration.DEFAULT_MAX_BANDS, args.max_bands)
+        cap = max(enumeration.DEFAULT_MAX_BANDS, _max_bands(args))
         table = knot_table.load_table(args.table) if args.table else None
         rows = []
         if args.genus is not None:
@@ -159,9 +167,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "check-poly":
+        cap = _max_bands(args)
         p = parse_poly(args.poly)
         table = knot_table.load_table(args.table) if args.table else None
-        verdict = enumeration.realizable_3braid(p, cap=args.max_bands)
+        verdict = enumeration.realizable_3braid(p, cap=cap)
         name = table.match(p) if table is not None else None
         payload = {
             "realizable": verdict.realizable,

@@ -27,6 +27,9 @@ from .laurent import LaurentPoly2, mirror_image
 from .words import DELTA, Word, closure_components, inverse, shift_letter
 
 DEFAULT_MAX_BANDS = 14
+# The largest --max-bands the CLI accepts: the census doubles with each band,
+# and 16 bands is about 400k orbits.
+MAX_BANDS_CEILING = 16
 
 _LETTERS = (1, 2, 3, -1, -2, -3)
 _DELTA_INV = (-1, -2)
@@ -120,7 +123,8 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
         key = canonical_key(word)
         if key not in seen:
             seen[key] = kind
-    # Sorted keys share long prefixes, which homfly_many folds only once.
+    # Sorted keys share long prefixes, whose Burau products homfly_many
+    # computes only once.
     keys = sorted(seen)
     return [
         CensusEntry(

@@ -1,138 +1,170 @@
-"""Skein (HOMFLY) polynomials of closed 3-braids in time linear in the word.
+"""Skein (HOMFLY) polynomials of closed 3-braids from one Burau product.
 
-The skein relation  v^{-1} P(L+) - v P(L-) = z P(L0)  turns each generator
-into a root of the local quadratic  g^2 = v z g + v^2,  equivalently
-g^{-1} = v^{-2} g - v^{-1} z.  Modulo these relations and the braid
-relation, words in s1 = a and s2 = b span a 6-dimensional algebra with the
-positive permutation braids B = {1, a, b, ab, ba, aba} as a basis.  A word
-is evaluated by folding its letters into a coefficient vector over B
-(a run of band letters s3^{e_1} ... s3^{e_k} is first rewritten as
-s1^{-1} s2^{e_1} ... s2^{e_k} s1 by ``words.to_artin``) and then pairing
-with the closure polynomial of each basis braid:
+The skein relation  v^{-1} P(L+) - v P(L-) = z P(L0)  factors through the
+Hecke algebra of the 3-strand braid group, which splits into two
+1-dimensional representations, where a generator acts as s or as -s^{-1},
+and the 2-dimensional reduced Burau representation (Jones, *Hecke algebra
+representations of braid groups and link polynomials*, Ann. Math. 1987).
+The closure polynomial of a braid is therefore fixed by its exponent sum e
+and the trace T(s) of its reduced Burau matrix at t = s^{-2}.  With
+z = s - s^{-1} and u = s^2,
 
-    1 -> delta^2   a, b -> delta   ab, ba -> 1   aba -> v z + v^2 delta
+    v^(2-e) z^2 P = (c0 + c2 v^2 + c4 v^4) / ((1 + u)(1 + u + u^2)),
 
-where delta = (v^{-1} - v)/z.  Those six values are forced by the skein
-relation alone; ``trace_table_from_oracle`` rederives them at import time
-from closed 2-braids (the closed form of the skein relation on a twist
-region) and Markov moves, and refuses to run if they disagree with the
-frozen constants.
+    c0 = s^(e+6) + (-1)^e s^(-e) + s^(e+2) (1 + s^2) T
+    c2 = -(s^2 + s^4) (s^e + (-1)^e s^(-e)) - s^e (1 + s^4) (1 + s^2) T
+    c4 = s^e + (-1)^e s^(6-e) + s^(e+2) (1 + s^2) T.
+
+``homfly`` multiplies the dense Burau matrices of the Artin expansion
+(``words.to_artin``, ``words.burau_step``), divides each c_k exactly by
+(1 + u) and then by (1 + u + u^2), and maps the quotient, a polynomial
+symmetric under s -> -s^{-1}, to z through s^j + (-1)^j s^{-j} = L_j(z) with
+L_j = z L_(j-1) + L_(j-2).  A division that leaves a remainder or a
+quotient that is not symmetric means a broken identity and raises
+``ConsistencyError``.
+
+At import time the six basis braids 1, a, b, ab, ba, aba must give the
+closure values that ``trace_table_from_oracle`` rederives from closed
+2-braids and Markov moves.  The former evaluation, a fold through the
+6-dimensional positive-permutation-braid basis, is kept as an independent
+test oracle in ``tests/fold_oracle.py``.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import add
 from typing import Sequence
 
 from .errors import ConsistencyError
 from .laurent import LaurentPoly2, delta_unlink_factor, mirror_image
-from .words import to_artin
-
-# Basis indices: 0 = 1, 1 = a, 2 = b, 3 = ab, 4 = ba, 5 = aba.
-_VZ = (1, 1)
-_V2 = (2, 0)
-_UNIT = (0, 0)
-
-# Right multiplication by a and by b: basis index -> ((target, monomial), ...)
-# where the monomial is an exponent pair scaling the moved coefficient.
-# Derived from g^2 = vz g + v^2 and aba = bab; guarded by the skein fuzz tests.
-_RIGHT_A = (
-    ((1, _UNIT),),
-    ((1, _VZ), (0, _V2)),
-    ((4, _UNIT),),
-    ((5, _UNIT),),
-    ((4, _VZ), (2, _V2)),
-    ((5, _VZ), (3, _V2)),
-)
-_RIGHT_B = (
-    ((2, _UNIT),),
-    ((3, _UNIT),),
-    ((2, _VZ), (0, _V2)),
-    ((3, _VZ), (1, _V2)),
-    ((5, _UNIT),),
-    ((5, _VZ), (4, _V2)),
-)
-
-_Raw = list[dict[tuple[int, int], int]]
+from .words import BURAU_ONE, burau, burau_step, exponent_sum, to_artin
 
 
-def _raw_unit() -> _Raw:
-    return [{(0, 0): 1}, {}, {}, {}, {}, {}]
+def _trace(lo: int, a: Sequence[int], d: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(offset, coefficients) of a + d, both over t^lo, t^(lo+1), ..., trimmed."""
+    tr = list(map(add, a, d))
+    hi = len(tr)
+    while hi and not tr[hi - 1]:
+        hi -= 1
+    if not hi:
+        return 0, ()
+    start = 0
+    while not tr[start]:
+        start += 1
+    return lo + start, tuple(tr[start:hi])
 
 
-def _raw_positive(vec: _Raw, table) -> _Raw:
-    out: _Raw = [{}, {}, {}, {}, {}, {}]
-    for i, coeff in enumerate(vec):
-        if not coeff:
-            continue
-        for target, (dv, dz) in table[i]:
-            acc = out[target]
-            for (a, b), c in coeff.items():
-                key = (a + dv, b + dz)
-                acc[key] = acc.get(key, 0) + c
+def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """num / den for dense polynomials in u, by synthetic division from u^0.
+
+    ``den[0]`` must be 1; a nonzero remainder raises ``ConsistencyError``.
+    """
+    q = list(num)
+    cut = len(num) - len(den) + 1
+    for i in range(cut):
+        c = q[i]
+        if c:
+            for j in range(1, len(den)):
+                q[i + j] -= c * den[j]
+    if any(q[max(cut, 0) :]):
+        raise ConsistencyError(f"the trace formula does not divide exactly by {den}")
+    return q[:cut]
+
+
+def _to_z(bottom: int, coeffs: list[int]) -> list[int]:
+    """z-coefficients of the s-polynomial sum_i coeffs[i] s^(bottom + 2i).
+
+    The polynomial must be symmetric under s -> -s^{-1}, so that it is
+    c_0 + sum_(j>=1) c_j (s^j + (-1)^j s^{-j}) = c_0 + sum_(j>=1) c_j L_j(z)
+    with the Lucas polynomials L_0 = 2, L_1 = z, L_j = z L_(j-1) + L_(j-2).
+    The sum is evaluated by Clenshaw's recurrence
+    b_j = c_j + z b_(j+1) + b_(j+2), and equals c_0 + z b_1 + 2 b_2.
+    """
+    top = -bottom
+    mirrored = [-x for x in coeffs] if top & 1 else coeffs
+    if bottom + 2 * (len(coeffs) - 1) != top or coeffs[::-1] != mirrored:
+        raise ConsistencyError("the trace formula gave a polynomial that is not one in z")
+    c = [0] * (top + 1)  # c[j]: coefficient of s^j, j >= 0
+    c[top::-2] = coeffs[::-1][: top // 2 + 1]
+    b1: list[int] = []  # b_(j+1) as z-coefficients, one shorter than b_j
+    b2: list[int] = []  # b_(j+2)
+    for j in range(top, 0, -1):
+        bj = list(map(add, [0, *b1], [*b2, 0, 0]))
+        bj[0] += c[j]
+        b1, b2 = bj, b1
+    out = list(map(add, [0, *b1], [*(2 * x for x in b2), 0, 0]))
+    out[0] += c[0]
     return out
 
 
-def _raw_fold(vec: _Raw, letter: int) -> _Raw:
-    table = _RIGHT_A if abs(letter) == 1 else _RIGHT_B
-    if letter > 0:
-        return _raw_positive(vec, table)
-    # x g^{-1} = v^{-2} (x g) - v^{-1} z x
-    shifted = _raw_positive(vec, table)
-    out: _Raw = []
-    for moved, stay in zip(shifted, vec):
-        acc: dict[tuple[int, int], int] = {}
-        for (a, b), c in moved.items():
-            key = (a - 2, b)
-            acc[key] = acc.get(key, 0) + c
-        for (a, b), c in stay.items():
-            key = (a - 1, b + 1)
-            acc[key] = acc.get(key, 0) - c
-        out.append({k: v for k, v in acc.items() if v})
-    return out
+def _numerators(e: int):
+    """The numerators f_k = c_k / s^e, k = 0, 2, 4, as polynomials in u = s^2.
+
+    Each is ``(w_terms, monomials)``: the sum of coeff * u^shift * W over
+    ``w_terms``, where W = (1 + u) T(u^-1), plus coeff * u^exp over
+    ``monomials``.
+    """
+    sigma = -1 if e & 1 else 1
+    return (
+        # u^3 + sigma u^-e + u W
+        (((1, 1),), ((3, 1), (-e, sigma))),
+        # -(u + u^2)(1 + sigma u^-e) - (1 + u^2) W
+        (((0, -1), (2, -1)), ((1, -1), (2, -1), (1 - e, -sigma), (2 - e, -sigma))),
+        # 1 + sigma u^(3-e) + u W
+        (((1, 1),), ((0, 1), (3 - e, sigma))),
+    )
 
 
-def _trace_table() -> tuple[LaurentPoly2, ...]:
-    d = delta_unlink_factor()
-    hopf = LaurentPoly2.monomial(1, 1, 1) + d.scale_by_monomial(1, 2, 0)
-    return (d * d, d, d, LaurentPoly2.one(), LaurentPoly2.one(), hopf)
+def _skein_from_trace(e: int, lo: int, trace: tuple[int, ...]) -> LaurentPoly2:
+    """P of the closure of a braid with exponent sum e and Burau trace T.
 
-
-TRACE_TABLE: tuple[LaurentPoly2, ...] = _trace_table()
-
-
-_TRACE_TERMS = tuple(p.terms_dict() for p in TRACE_TABLE)
-
-
-def _close(raw: _Raw) -> LaurentPoly2:
-    """Pair a raw fold vector with the closure values of the basis."""
+    ``trace`` holds the coefficients of T over t^lo, t^(lo+1), ...
+    """
+    # T(u^-1) runs from u^-(lo + n - 1) up to u^-lo, so W = (1 + u) T(u^-1)
+    # starts at u^base.
+    base = -(lo + len(trace) - 1)
+    rev = trace[::-1]
+    w = list(map(add, [*rev, 0], [0, *rev]))
     out: dict[tuple[int, int], int] = {}
-    for coeff, closed in zip(raw, _TRACE_TERMS):
-        for (a, b), c in coeff.items():
-            for (x, y), d in closed.items():
-                key = (a + x, b + y)
-                out[key] = out.get(key, 0) + c * d
+    for k, (w_terms, monomials) in enumerate(_numerators(e)):
+        f: dict[int, int] = {}
+        for shift, coeff in w_terms:
+            for i, x in enumerate(w, base + shift):
+                f[i] = f.get(i, 0) + coeff * x
+        for exp, coeff in monomials:
+            f[exp] = f.get(exp, 0) + coeff
+        exps = [x for x, c in f.items() if c]
+        if not exps:
+            continue
+        low = min(exps)
+        num = [f.get(x, 0) for x in range(low, max(exps) + 1)]
+        quo = _exact_div(_exact_div(num, (1, 1)), (1, 1, 1))
+        dv = e - 2 + 2 * k
+        for dz, c in enumerate(_to_z(e + 2 * low, quo)):
+            if c:
+                out[(dv, dz - 2)] = c
     return LaurentPoly2(out)
 
 
 def homfly(word: Sequence[int]) -> LaurentPoly2:
-    """Skein polynomial of the closure, via the linear-time basis fold."""
-    raw = _raw_unit()
-    for l in to_artin(word):
-        raw = _raw_fold(raw, l)
-    return _close(raw)
+    """Skein polynomial of the closure, from the exponent sum and one Burau product."""
+    m = burau(word)
+    return _skein_from_trace(m.exponent, *_trace(m.offset, m.a, m.d))
 
 
 def homfly_many(words: Sequence[Sequence[int]]) -> list[LaurentPoly2]:
-    """``homfly`` of each word, folding a prefix shared with the previous word once.
+    """``homfly`` of each word, multiplying a prefix shared with the previous word once.
 
-    ``stack[i]`` is the fold of the first i Artin letters of the previous
-    word, so a sorted list of short words costs little more than its
-    distinct suffixes.
+    ``stack[i]`` is the Burau product of the first i Artin letters of the
+    previous word, so a sorted list of short words costs little more than
+    its distinct suffixes.  Each distinct (exponent sum, trace) pair is
+    converted to a polynomial once per call.
     """
     out: list[LaurentPoly2] = []
+    seen: dict[tuple[int, int, tuple[int, ...]], LaurentPoly2] = {}
     prev: tuple[int, ...] = ()
-    stack = [_raw_unit()]
+    stack = [BURAU_ONE]
     for word in words:
         w = to_artin(word)
         common = 0
@@ -141,11 +173,16 @@ def homfly_many(words: Sequence[Sequence[int]]) -> list[LaurentPoly2]:
                 break
             common += 1
         del stack[common + 1 :]
-        raw = stack[common]
+        m = stack[common]
         for l in w[common:]:
-            raw = _raw_fold(raw, l)
-            stack.append(raw)
-        out.append(_close(raw))
+            m = burau_step(m, l)
+            stack.append(m)
+        lo, a, _, _, d = m
+        key = (exponent_sum(w), *_trace(lo, a, d))
+        poly = seen.get(key)
+        if poly is None:
+            poly = seen[key] = _skein_from_trace(*key)
+        out.append(poly)
         prev = w
     return out
 
@@ -212,12 +249,15 @@ def trace_table_from_oracle() -> tuple[LaurentPoly2, ...]:
     )
 
 
-def _check_trace_table() -> None:
-    if TRACE_TABLE != trace_table_from_oracle():
-        raise ConsistencyError("frozen trace table disagrees with the skein oracle")
+_BASIS_BRAIDS = ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
 
 
-_check_trace_table()
+def _check_basis_closures() -> None:
+    if tuple(homfly(w) for w in _BASIS_BRAIDS) != trace_table_from_oracle():
+        raise ConsistencyError("the basis braid closures disagree with the skein oracle")
+
+
+_check_basis_closures()
 
 
 # ---------------------------------------------------------------------------

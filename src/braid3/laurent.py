@@ -6,9 +6,9 @@ terms get multiplied.  Two rings cover everything in this package:
 * ``LaurentPoly2`` is Z[v^{±1}, z^{±1}] and carries the skein polynomial in
   the convention  v^{-1} P(L+) - v P(L-) = z P(L0),  normalised so that
   P(unknot) = 1.  A split unknot multiplies P by delta = (v^{-1} - v)/z.
-* ``LaurentPoly1`` is Z[x^{±1}] for a tagged variable x: Burau matrix
-  entries (t), Conway polynomials (z), Alexander and Jones values in
-  s = t^{1/2}, and z-leading coefficients as polynomials in v.
+* ``LaurentPoly1`` is Z[x^{±1}] for a tagged variable x: Conway
+  polynomials (z), Alexander and Jones values in s = t^{1/2}, and
+  z-leading coefficients as polynomials in v.
 
 Values are immutable once built; every operation returns a fresh value.
 The two-variable text grammar (used by the CLI and table files) is

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add, neg
 from typing import Sequence
 
 from .errors import WordSyntaxError
-from .laurent import LaurentPoly1
 
 Word = tuple[int, ...]
 
@@ -149,67 +149,86 @@ def to_artin(word: Sequence[int]) -> Word:
     s1^{-1} (s2-run) s1, so a run of k band letters costs k + 2 crossings.
     """
     out: list[int] = []
-    i = 0
-    letters = tuple(word)
-    while i < len(letters):
-        if abs(letters[i]) != 3:
-            out.append(letters[i])
-            i += 1
-            continue
-        j = i
-        while j < len(letters) and abs(letters[j]) == 3:
-            j += 1
-        out.append(-1)
-        out.extend(2 if l > 0 else -2 for l in letters[i:j])
+    in_run = False
+    for l in word:
+        if l == 3 or l == -3:
+            if not in_run:
+                out.append(-1)
+                in_run = True
+            out.append(2 if l > 0 else -2)
+        else:
+            if in_run:
+                out.append(1)
+                in_run = False
+            out.append(l)
+    if in_run:
         out.append(1)
-        i = j
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
-# Reduced Burau representation (faithful on B3), the word-problem oracle.
+# Reduced Burau representation (faithful on B3): it decides the word
+# problem, and its trace gives the skein polynomial (``hecke``).
+#
+# A matrix is a raw tuple ``(offset, a, b, c, d)``: the entries of
+# [[a, b], [c, d]] as dense integer sequences over t^offset, t^(offset+1),
+# ..., all of one length and trimmed so that no end column is zero in all
+# four.  Right multiplication by an Artin letter costs two shifts and two
+# column adds:
+#
+#     s1 = [[-t, 1], [0, 1]]      s1^-1 = [[-1/t, 1/t], [0, 1]]
+#     s2 = [[1, 0], [t, -t]]      s2^-1 = [[1, 0], [1, -1/t]]
 
-def _p(terms: dict[int, int]) -> LaurentPoly1:
-    return LaurentPoly1("t", terms)
+RawBurau = tuple[int, Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
+
+BURAU_ONE: RawBurau = (0, (1,), (0,), (0,), (1,))
+
+
+def burau_step(m: RawBurau, letter: int) -> RawBurau:
+    """The raw matrix ``m`` times the Burau matrix of the Artin letter."""
+    lo, a, b, c, d = m
+    if letter == 1:
+        a, b = [0, *map(neg, a)], [*map(add, a, b), 0]
+        c, d = [0, *map(neg, c)], [*map(add, c, d), 0]
+    elif letter == 2:
+        a, b = [*map(add, [*a, 0], [0, *b])], [0, *map(neg, b)]
+        c, d = [*map(add, [*c, 0], [0, *d])], [0, *map(neg, d)]
+    elif letter == -1:
+        lo -= 1
+        a, b = [*map(neg, a), 0], [*map(add, [*a, 0], [0, *b])]
+        c, d = [*map(neg, c), 0], [*map(add, [*c, 0], [0, *d])]
+    elif letter == -2:
+        lo -= 1
+        a, b = [0, *map(add, a, b)], [*map(neg, b), 0]
+        c, d = [0, *map(add, c, d)], [*map(neg, d), 0]
+    else:
+        raise ValueError(f"burau_step takes an Artin letter in {{+-1, +-2}}, got {letter}")
+    while not (a[-1] or b[-1] or c[-1] or d[-1]):
+        del a[-1], b[-1], c[-1], d[-1]
+    while not (a[0] or b[0] or c[0] or d[0]):
+        lo += 1
+        del a[0], b[0], c[0], d[0]
+    return lo, a, b, c, d
 
 
 @dataclass(frozen=True)
-class BurauMatrix:
-    """A 2x2 matrix over Z[t^{±1}] plus the tracked exponent sum."""
+class Burau:
+    """The reduced Burau matrix of a word, in trimmed dense form, and its exponent sum."""
 
-    a: LaurentPoly1
-    b: LaurentPoly1
-    c: LaurentPoly1
-    d: LaurentPoly1
     exponent: int
-
-    def __mul__(self, other: "BurauMatrix") -> "BurauMatrix":
-        return BurauMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self.exponent + other.exponent,
-        )
+    offset: int
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    c: tuple[int, ...]
+    d: tuple[int, ...]
 
 
-_IDENTITY = BurauMatrix(_p({0: 1}), _p({}), _p({}), _p({0: 1}), 0)
-_M1 = BurauMatrix(_p({1: -1}), _p({0: 1}), _p({}), _p({0: 1}), 1)
-_M1I = BurauMatrix(_p({-1: -1}), _p({-1: 1}), _p({}), _p({0: 1}), -1)
-_M2 = BurauMatrix(_p({0: 1}), _p({}), _p({1: 1}), _p({1: -1}), 1)
-_M2I = BurauMatrix(_p({0: 1}), _p({}), _p({0: 1}), _p({-1: -1}), -1)
-# s3 = s1^{-1} s2 s1; the product already carries the right exponent sum.
-_M3 = _M1I * _M2 * _M1
-_M3I = _M1I * _M2I * _M1
-
-_BURAU = {1: _M1, -1: _M1I, 2: _M2, -2: _M2I, 3: _M3, -3: _M3I}
-
-
-def burau(word: Sequence[int]) -> BurauMatrix:
-    out = _IDENTITY
-    for letter in word:
-        out = out * _BURAU[letter]
-    return out
+def burau(word: Sequence[int]) -> Burau:
+    m = BURAU_ONE
+    for letter in to_artin(word):
+        m = burau_step(m, letter)
+    lo, a, b, c, d = m
+    return Burau(exponent_sum(word), lo, tuple(a), tuple(b), tuple(c), tuple(d))
 
 
 def words_equal(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -26,17 +26,13 @@ from braid3.enumeration import (
     genus_census,
     realizable_3braid,
 )
-from braid3.hecke import (
-    TRACE_TABLE,
-    homfly,
-    pretzel_homfly,
-    trace_table_from_oracle,
-)
+from braid3.hecke import homfly, pretzel_homfly, trace_table_from_oracle
 from braid3.invariants import ONE_PLUS_V2, OTHER, THREE_UNLINK_SQUARE, classify_leading_coefficient
 from braid3.knot_table import load_table, make_table
 from braid3.laurent import mirror_image, parse_poly
 from braid3.words import concat, dual, exponent_sum, parse_word
 from conftest import LETTERS
+from fold_oracle import TRACE_TABLE
 from pd_skein import pd_homfly, pretzel_diagrams
 
 SWEEP_DEPTH = 12

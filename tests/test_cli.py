@@ -1,6 +1,8 @@
 import json
 
-from braid3 import invariants
+import pytest
+
+from braid3 import enumeration, hecke, invariants
 from braid3.cli import run
 from braid3.hecke import homfly
 from braid3.laurent import LaurentPoly2, parse_poly
@@ -122,6 +124,49 @@ def test_broken_law_exits_two(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("internal error:") and "(1, 1, 1, 2)" in err
+
+
+def test_corrupted_trace_exits_two(capsys, monkeypatch):
+    # one wrong Burau trace coefficient leaves a remainder in the exact
+    # division of the trace formula: a bug, not bad input
+    trace = hecke._trace
+
+    def corrupted(*matrix):
+        lo, coeffs = trace(*matrix)
+        return lo, (coeffs[0] + 1,) + coeffs[1:]
+
+    monkeypatch.setattr(hecke, "_trace", corrupted)
+    for argv in (["homfly", "[1 1 1 2]"], ["invariants", "[1 -2]"], ["enumerate", "--max-bands", "3"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("internal error:")
+
+
+@pytest.mark.parametrize("command", ["enumerate", "check-poly"])
+@pytest.mark.parametrize("bands", ["17", "-1"])
+def test_max_bands_outside_ceiling_exits_one(capsys, monkeypatch, command, bands):
+    def no_generation(length):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(enumeration, "generate_normal_forms", no_generation)
+    argv = [command, "--max-bands", bands]
+    if command == "check-poly":
+        argv += ["--poly", "1*v^0*z^0"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {command}: --max-bands") and "16" in err and bands in err
+    assert "Traceback" not in err
+
+
+def test_max_bands_at_ceiling_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "check-poly", "--max-bands", "16", "--poly", "1*v^0*z^0")
+    assert code == 0
+    assert out.startswith("realizable")
+    code, out, _ = run_cli(capsys, "enumerate", "--max-bands", "0")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 2
 
 
 def test_bad_word_exits_one(capsys):

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braid3 import hecke
 from braid3.enumeration import constructive_orbits
+from braid3.errors import ConsistencyError
 from braid3.hecke import (
-    TRACE_TABLE,
-    _raw_fold,
-    _raw_unit,
     _torus2,
     homfly,
     homfly_many,
@@ -25,19 +24,27 @@ from braid3.laurent import (
     mirror_image,
     parse_poly,
 )
-from braid3.words import concat, dual, exponent_sum, mirror, parse_word, to_artin
+from braid3.words import concat, dual, exponent_sum, mirror, parse_word
 from braid3.xu import reduce
-from conftest import words_st
+from conftest import random_word, words_st
+from fold_oracle import TRACE_TABLE, fold_homfly, fold_word
 
 TREFOIL = parse_poly("2*v^2*z^0 + -1*v^4*z^0 + 1*v^2*z^2")
 
+# Band words whose Artin prefixes differ where the band prefixes agree: a
+# run of s3 letters closes with one s1, wherever the run ends.
+RUN_SEAM_WORDS = [(3, 3), (3, 3, 3), (3, 3, 1), (3, -3), (-3, 3), (3, 3), (3,), (3, 3, 3, -2)]
 
-def fold_word(word):
-    """The basis-coefficient vector of a word, as six polynomials."""
-    raw = _raw_unit()
-    for letter in to_artin(word):
-        raw = _raw_fold(raw, letter)
-    return tuple(LaurentPoly2(terms) for terms in raw)
+
+@pytest.fixture(scope="module")
+def orbit_keys():
+    return sorted(k for n in range(9) for k in constructive_orbits(n))
+
+
+@pytest.fixture(scope="module")
+def long_mixed_words():
+    rng = random.Random(400)
+    return [random_word(rng, 400) for _ in range(12)] + [random_word(rng, 400, 400)]
 
 
 class TestFold:
@@ -60,6 +67,39 @@ class TestFold:
 
     def test_inverse_letter_cancels(self):
         assert fold_word((1, -1, 2, -2)) == fold_word(())
+
+    def test_engine_equals_fold_on_orbit_keys(self, orbit_keys):
+        assert [w for w in orbit_keys if homfly(w) != fold_homfly(w)] == []
+
+    def test_engine_equals_fold_on_seams_and_long_words(self, long_mixed_words):
+        for w in [(), *RUN_SEAM_WORDS, *long_mixed_words]:
+            assert homfly(w) == fold_homfly(w), w
+
+
+class TestBasisSelfCheck:
+    def test_basis_braids_close_to_the_oracle_table(self):
+        assert tuple(homfly(w) for w in hecke._BASIS_BRAIDS) == trace_table_from_oracle()
+        assert hecke._BASIS_BRAIDS == ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
+
+    def test_corrupted_trace_raises_consistency_error(self, monkeypatch):
+        trace = hecke._trace
+
+        def corrupted(*matrix):
+            lo, coeffs = trace(*matrix)
+            return lo, (coeffs[0] + 1,) + coeffs[1:]
+
+        monkeypatch.setattr(hecke, "_trace", corrupted)
+        for w in [(), (1,), (1, 1, 1, 2), (1, -2, 3, -3)]:
+            with pytest.raises(ConsistencyError, match="divide exactly"):
+                homfly(w)
+        with pytest.raises(ConsistencyError):
+            homfly_many([(1, 2), (1, 2, 3)])
+        with pytest.raises(ConsistencyError):
+            hecke._check_basis_closures()
+
+    def test_asymmetric_quotient_raises_consistency_error(self):
+        with pytest.raises(ConsistencyError, match="not one in z"):
+            hecke._to_z(-2, [1, 0, 0])
 
 
 class TestTraceTable:
@@ -318,21 +358,24 @@ class TestHomflyMany:
     def test_raw_closing_equals_polynomial_pairing(self, w):
         assert homfly(w) == _homfly_by_basis_products(w)
 
-    @pytest.fixture(scope="class")
-    def orbit_keys(self):
-        return sorted(k for n in range(9) for k in constructive_orbits(n))
-
     def test_sorted_reversed_shuffled(self, orbit_keys):
         expected = {w: homfly(w) for w in orbit_keys}
+        folded = {w: fold_homfly(w) for w in orbit_keys}
         shuffled = list(orbit_keys)
         random.Random(1987).shuffle(shuffled)
         for words in (orbit_keys, orbit_keys[::-1], shuffled):
-            assert homfly_many(words) == [expected[w] for w in words]
+            got = homfly_many(words)
+            assert got == [expected[w] for w in words]
+            assert got == [folded[w] for w in words]
 
     def test_duplicates_and_empty_word(self):
         words = [(), (1, 2), (1, 2), (), (1, 2, 3), (1,), (1, 2), (), (-3, 1, -2)]
-        # band prefixes that agree where the Artin prefixes differ: a run of
-        # s3 letters closes with one s1, wherever the run ends
-        words += [(3, 3), (3, 3, 3), (3, 3, 1), (3, -3), (-3, 3), (3, 3), (3,), (3, 3, 3, -2)]
-        assert homfly_many(words) == [homfly(w) for w in words]
+        words += RUN_SEAM_WORDS
+        got = homfly_many(words)
+        assert got == [homfly(w) for w in words]
+        assert got == [fold_homfly(w) for w in words]
         assert homfly_many([]) == []
+
+    def test_long_mixed_words_equal_fold(self, long_mixed_words):
+        words = long_mixed_words + long_mixed_words[:3] + [()]
+        assert homfly_many(words) == [fold_homfly(w) for w in words]

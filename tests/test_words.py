@@ -1,12 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from braid3.errors import WordSyntaxError
 from braid3.words import (
+    BURAU_ONE,
     DELTA,
     HALF_TWIST,
     burau,
+    burau_step,
     closure_components,
     concat,
     cyclic_rotate,
@@ -21,7 +25,8 @@ from braid3.words import (
     to_artin,
     words_equal,
 )
-from conftest import words_st
+from burau_oracle import burau_matrix, entries
+from conftest import random_word, words_st
 
 
 def norm(i):
@@ -108,6 +113,34 @@ class TestBurauEquality:
         assert words_equal((1, -1), ())
         assert words_equal((1, 2, 1), (2, 1, 2))
         assert not words_equal((1,), (2,))
+
+    def test_dense_product_equals_matrix_oracle(self):
+        rng = random.Random(1984)
+        words = [random_word(rng, 60) for _ in range(400)] + [random_word(rng, 400, 400)]
+        words += [(), (1, 2, -2, -1) * 50, (3, -3) * 20, (1,) * 30, (-2,) * 30]
+        for w in words:
+            m, oracle = burau(w), burau_matrix(w)
+            assert entries(m) == entries(oracle), w
+            assert m.exponent == oracle.exponent == exponent_sum(w)
+
+    def test_dense_product_is_trimmed(self):
+        rng = random.Random(7)
+        for w in [random_word(rng, 40) for _ in range(200)] + [(1, -1) * 5, (2, 1, -1, -2)]:
+            m = burau(w)
+            columns = list(zip(m.a, m.b, m.c, m.d))
+            assert len(columns) == len(m.a) == len(m.b) == len(m.c) == len(m.d)
+            assert any(columns[0]) and any(columns[-1])
+
+    @given(words_st, words_st)
+    def test_words_equal_agrees_with_matrix_oracle(self, a, b):
+        same = burau_matrix(a) == burau_matrix(b)
+        assert words_equal(a, b) == same
+        assert words_equal(concat(a, b, inverse(b)), a)
+
+    def test_step_rejects_band_letters(self):
+        for letter in (3, -3, 0):
+            with pytest.raises(ValueError):
+                burau_step(BURAU_ONE, letter)
 
     @given(words_st, words_st, words_st)
     def test_equality_respects_common_affixes(self, a, b, c):
