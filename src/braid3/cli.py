@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on bad input or an inconclusive enumeration,
-2 when an internal identity fails (a bug, not an input problem).
+Exit codes: 0 on success, 1 on bad input, a file that cannot be read or
+written, or an inconclusive enumeration, 2 when an internal identity fails
+(a bug, not an input problem).
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ def _plain(value):
 
 def _reduce_payload(word) -> dict:
     nf = xu.reduce(word)
-    chi = 3 - nf.minimal_length
     return {
         "kind": nf.kind,
         "L": render_word(nf.L),
@@ -94,7 +94,7 @@ def _reduce_payload(word) -> dict:
         "R": render_word(nf.R),
         "minimal_word": render_word(nf.minimal_word),
         "minimal_length": nf.minimal_length,
-        "chi": chi,
+        "chi": nf.chi,
         "genus": xu.genus(word),
         "quasipositive": xu.is_strongly_quasipositive(word),
     }
@@ -129,7 +129,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "enumerate":
-        cap = max(enumeration.DEFAULT_MAX_BANDS, _max_bands(args))
+        cap = _max_bands(args)
         table = knot_table.load_table(args.table) if args.table else None
         rows = []
         if args.genus is not None:
@@ -219,7 +219,7 @@ def run(argv) -> int:
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

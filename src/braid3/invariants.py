@@ -17,7 +17,7 @@ from . import xu
 from .errors import ConsistencyError
 from .hecke import homfly
 from .laurent import LaurentPoly1, LaurentPoly2, alexander, conway
-from .words import Word, closure_components
+from .words import Word
 
 UNIT_MONOMIAL = "unit-monomial"
 ONE_PLUS_V2 = "monomial-times-one-plus-v2"
@@ -151,18 +151,16 @@ def report(word: Sequence[int]) -> InvariantReport:
     """Compute every invariant of the closure and check the built-in laws."""
     w = tuple(word)
     nf = xu.reduce(w)
-    chi = 3 - nf.minimal_length
-    m = closure_components(w)
     p = homfly(w)
-    leading = check_laws(p, chi, w)
+    leading = check_laws(p, nf.chi, w)
     nabla = conway(p)
     return InvariantReport(
         word=w,
         minimal_length=nf.minimal_length,
-        chi=chi,
-        components=m,
-        genus=(2 - chi - m) // 2,
-        quasipositive=xu.is_strongly_quasipositive(w),
+        chi=nf.chi,
+        components=nf.components,
+        genus=nf.genus,
+        quasipositive=nf.quasipositive,
         polynomial=p,
         max_deg_z=p.max_deg_z(),
         min_deg_v=p.min_deg_v(),

@@ -38,7 +38,6 @@ from .words import (
     Word,
     closure_components,
     inverse,
-    mirror,
     normalize_index,
     shift_letter,
 )
@@ -48,6 +47,12 @@ TYPE_A_NEGATIVE = "type-A-negative"
 TYPE_B = "type-B"
 
 _DELTA_INV = (-1, -2)
+
+QP_POSITIVE = "positive"
+QP_MIRROR = "mirror-positive"
+QP_NO = "no"
+
+_QUASIPOSITIVE = {TYPE_A_POSITIVE: QP_POSITIVE, TYPE_A_NEGATIVE: QP_MIRROR, TYPE_B: QP_NO}
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,37 @@ class XuNormalForm:
     @property
     def minimal_length(self) -> int:
         return len(self.L) + len(self.R) + 2 * self.k
+
+    @property
+    def chi(self) -> int:
+        """Maximal Euler characteristic of a Seifert surface for the closure."""
+        return 3 - self.minimal_length
+
+    @property
+    def components(self) -> int:
+        """Number of components of the closure."""
+        return closure_components(self.minimal_word)
+
+    @property
+    def genus(self) -> int:
+        """Genus of the closure, (2c - chi - components) / 2.
+
+        The band surface of the minimal word has c components: the three
+        disks stay apart when the word is empty, two of them are joined when
+        it uses a single band index, and all three are joined otherwise.
+        """
+        c = max(1, 3 - len({abs(l) for l in self.minimal_word}))
+        return (2 * c - self.chi - self.components) // 2
+
+    @property
+    def quasipositive(self) -> str:
+        """Whether the closure is a positive band-word closure, up to mirroring.
+
+        A closure is strongly quasipositive iff its minimal form is a positive
+        band word (Xu), so the kind decides: type A+ is positive, type A- is
+        the mirror image of a positive form, and type B is neither.
+        """
+        return _QUASIPOSITIVE[self.kind]
 
 
 def push_negatives_left(word: Sequence[int]) -> Word:
@@ -189,25 +225,14 @@ def reduce(word: Sequence[int]) -> XuNormalForm:
 
 def euler_characteristic(word: Sequence[int]) -> int:
     """Maximal Euler characteristic of a Seifert surface for the closure."""
-    return 3 - reduce(word).minimal_length
+    return reduce(word).chi
 
 
 def genus(word: Sequence[int]) -> int:
-    """Genus of the closure, (2 - chi - components) / 2."""
-    chi = euler_characteristic(word)
-    m = closure_components(word)
-    return (2 - chi - m) // 2
-
-
-QP_POSITIVE = "positive"
-QP_MIRROR = "mirror-positive"
-QP_NO = "no"
+    """Genus of the closure."""
+    return reduce(word).genus
 
 
 def is_strongly_quasipositive(word: Sequence[int]) -> str:
     """Whether the closure is a positive band-word closure, up to mirroring."""
-    if reduce(word).kind == TYPE_A_POSITIVE:
-        return QP_POSITIVE
-    if reduce(mirror(word)).kind == TYPE_A_POSITIVE:
-        return QP_MIRROR
-    return QP_NO
+    return reduce(word).quasipositive

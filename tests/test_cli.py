@@ -24,6 +24,26 @@ def test_reduce_text(capsys):
     assert "genus: 1" in out
 
 
+@pytest.mark.parametrize(
+    "word, genus",
+    [
+        ("[]", 0),
+        ("[1]", 0),
+        ("[1 1 1]", 1),
+        ("[1 1 1 1]", 1),
+        ("[3 3 3 3 3]", 2),
+        ("[-1 -1 -1]", 1),
+    ],
+)
+def test_reduce_genus_of_split_closures(capsys, word, genus):
+    code, out, _ = run_cli(capsys, "--format", "structured", "reduce", word)
+    assert code == 0
+    assert json.loads(out)["genus"] == genus
+    code, out, _ = run_cli(capsys, "--format", "structured", "invariants", word)
+    assert code == 0
+    assert json.loads(out)["genus"] == genus
+
+
 def test_reduce_structured_parses_back(capsys):
     code, out, _ = run_cli(capsys, "--format", "structured", "reduce", "[1 -2 1 -2]")
     assert code == 0
@@ -167,6 +187,30 @@ def test_max_bands_at_ceiling_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--max-bands", "0")
     assert code == 0
     assert len(out.strip().splitlines()) == 2
+
+
+def test_max_bands_caps_genus_census(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--genus", "4", "--max-bands", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "cap 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--table", "{tmp}/missing.csv"],
+        ["check-poly", "--poly", "1", "--table", "{tmp}"],
+        ["make-table", "-o", "{tmp}/no-such-dir/x.csv"],
+    ],
+    ids=["missing-table", "table-is-a-directory", "unwritable-output"],
+)
+def test_file_errors_exit_one(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and str(tmp_path) in err
+    assert "Traceback" not in err
 
 
 def test_bad_word_exits_one(capsys):

@@ -21,6 +21,20 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_xu_never_mirrors():
+    # quasipositivity is read from the kind of the one normal form; a second
+    # reduction of the mirror image is the path that was removed
+    tree = ast.parse((Path(braid3.__file__).parent / "xu.py").read_text(encoding="utf-8"))
+    names = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "mirror")
+        or (isinstance(node, ast.Attribute) and node.attr == "mirror")
+        or (isinstance(node, ast.alias) and node.name == "mirror")
+    ]
+    assert names == []
+
+
 def _trace_point(layer, path):
     owner = importlib.import_module(f"braid3.{layer}")
     *classes, attr = path.split(".")

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,16 @@ from braid3.xu import (
     push_negatives_left,
     reduce,
 )
-from conftest import words_st
+from conftest import LETTERS, random_word, words_st
+
+
+def quasipositive_oracle(w) -> str:
+    """Quasipositivity by reducing the word and, when needed, its mirror image."""
+    if reduce(w).kind == TYPE_A_POSITIVE:
+        return "positive"
+    if reduce(mirror(w)).kind == TYPE_A_POSITIVE:
+        return "mirror-positive"
+    return "no"
 
 
 def certify(w, nf: XuNormalForm) -> bool:
@@ -157,11 +169,53 @@ class TestDerivedInvariants:
         assert genus((1, 1, 1, 2)) == 1
         assert genus((1, 2)) == 0
         assert genus((1, 1, 1, 1, 1, 2)) == 2
+        # split closures: the band surface of the minimal word is disconnected
+        assert genus(()) == 0  # 3-component unlink
+        assert genus((1,)) == 0  # 2-component unlink
+        assert genus((1, 1, 1)) == 1  # trefoil and an unknot
+        assert genus((1, 1, 1, 1)) == 1  # T(2,4) and an unknot
+        assert genus((3, 3, 3, 3, 3)) == 2  # T(2,5) and an unknot
+        assert genus((-1, -1, -1)) == 1
+
+    @pytest.mark.parametrize("index", [1, 2, 3, -1, -2, -3])
+    def test_genus_of_split_powers(self, index):
+        # s_i^n closes to T(2,n) and an unknot: genus (n-1)/2 for a knot,
+        # (n-2)/2 for a two-component torus link
+        for n in range(1, 13):
+            w = (index,) * n
+            assert genus(w) == genus(cyclic_rotate(w + (1, -1), 1)) == (n - 1) // 2, w
+
+    @given(words_st)
+    def test_genus_non_negative(self, w):
+        assert genus(w) >= 0
 
     def test_quasipositivity(self):
         assert is_strongly_quasipositive((1, 2, 3)) == "positive"
         assert is_strongly_quasipositive((-1, -2, -3)) == "mirror-positive"
         assert is_strongly_quasipositive((1, -2, 1, -2)) == "no"
+
+    def test_quasipositivity_equals_mirror_oracle_on_short_words(self):
+        words = [w for n in range(6) for w in itertools.product(LETTERS, repeat=n)]
+        assert len(words) == 9331
+        assert [w for w in words if is_strongly_quasipositive(w) != quasipositive_oracle(w)] == []
+
+    def test_quasipositivity_equals_mirror_oracle_on_seeded_words(self):
+        rng = random.Random(0x51C0)
+        words = [random_word(rng, 40) for _ in range(4000)]
+        assert [w for w in words if is_strongly_quasipositive(w) != quasipositive_oracle(w)] == []
+
+    def test_one_reduction_per_call(self, monkeypatch):
+        from braid3 import invariants, xu
+
+        calls = []
+        monkeypatch.setattr(xu, "reduce", lambda w: calls.append(w) or reduce(w))
+        for w in [(), (1, 1, 1, 2), (-1, -1, -1), (1, -2, 1, -2), (3, 3, -2, 1, -3)]:
+            del calls[:]
+            is_strongly_quasipositive(w)
+            assert len(calls) == 1, w
+            del calls[:]
+            invariants.report(w)
+            assert len(calls) == 1, w
 
     @given(words_st)
     def test_mirror_flips_type_a(self, w):
