@@ -17,6 +17,7 @@ from .errors import ConsistencyError
 from .hecke import homfly, pretzel_homfly, torus_homfly
 from .invariants import CoeffClass
 from .laurent import LaurentPoly1, LaurentPoly2, parse_poly, render_poly
+from .limits import MAX_BANDS_CEILING
 from .words import parse_word, render_word
 
 
@@ -102,9 +103,11 @@ def _reduce_payload(word) -> dict:
 
 def _max_bands(args) -> int:
     """``--max-bands``, refused outside 0..MAX_BANDS_CEILING before any generation."""
-    n, ceiling = args.max_bands, enumeration.MAX_BANDS_CEILING
-    if not 0 <= n <= ceiling:
-        raise ValueError(f"{args.command}: --max-bands must be between 0 and {ceiling}, got {n}")
+    n = args.max_bands
+    if not 0 <= n <= MAX_BANDS_CEILING:
+        raise ValueError(
+            f"{args.command}: --max-bands must be between 0 and {MAX_BANDS_CEILING}, got {n}"
+        )
     return n
 
 
@@ -194,7 +197,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "pretzel":
-        twists = [int(t) for t in args.twists.split(",") if t.strip()]
+        fields = args.twists.split(",")
+        if not all(f.strip() for f in fields):
+            raise ValueError(f"pretzel: empty twist count in {args.twists!r}")
+        twists = [int(f) for f in fields]
         text = render_poly(pretzel_homfly(twists))
         _emit(args, {"polynomial": text}, [text])
         return 0

@@ -22,17 +22,13 @@ from typing import Iterator, Sequence
 from . import xu
 from .errors import CapExceededError, ConsistencyError
 from .hecke import homfly_many, pretzel_homfly
-from .invariants import OTHER, check_laws, classify_leading_coefficient, mwf_lower_bound
+from .invariants import OTHER, classify_leading_coefficient, mwf_lower_bound
 from .laurent import LaurentPoly2, mirror_image
-from .words import DELTA, Word, closure_components, inverse, shift_letter
+from .words import DELTA, DELTA_INV, Word, closure_components, inverse, shift_letter
 
 DEFAULT_MAX_BANDS = 14
-# The largest --max-bands the CLI accepts: the census doubles with each band,
-# and 16 bands is about 400k orbits.
-MAX_BANDS_CEILING = 16
 
 _LETTERS = (1, 2, 3, -1, -2, -3)
-_DELTA_INV = (-1, -2)
 
 
 # Letter -> letter with its subscript shifted by 0, 1 and 2 (mod 3).
@@ -84,7 +80,7 @@ def generate_normal_forms(length: int) -> Iterator[tuple[str, Word]]:
             yield xu.TYPE_A_POSITIVE, DELTA * k + r
         if length > 0:
             for l in nondecreasing_words(rest):
-                yield xu.TYPE_A_NEGATIVE, inverse(l) + _DELTA_INV * k
+                yield xu.TYPE_A_NEGATIVE, inverse(l) + DELTA_INV * k
     for left_len in range(1, length):
         for left in nondecreasing_words(left_len):
             for right in nondecreasing_words(length - left_len):
@@ -155,29 +151,6 @@ def brute_force_orbits(length: int) -> set[Word]:
 
 def constructive_orbits(length: int) -> set[Word]:
     return {canonical_key(word) for _, word in generate_normal_forms(length)}
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    max_length: int
-    orbit_counts: dict[int, int]
-    checked: int
-
-
-def verify_theorem1(max_length: int, cap: int = DEFAULT_MAX_BANDS) -> SweepReport:
-    """Check the laws on every minimal orbit up to max_length.
-
-    On an orbit of length n the first law reads max deg_z P = n - 2.
-    """
-    counts: dict[int, int] = {}
-    checked = 0
-    for n in range(max_length + 1):
-        entries = enumerate_minimal(n, cap=cap)
-        counts[n] = len(entries)
-        for e in entries:
-            checked += 1
-            check_laws(e.polynomial, e.chi, e.word)
-    return SweepReport(max_length=max_length, orbit_counts=counts, checked=checked)
 
 
 def genus_census(g: int, table=None, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:

@@ -38,6 +38,7 @@ from typing import Sequence
 
 from .errors import ConsistencyError
 from .laurent import LaurentPoly2, delta_unlink_factor, mirror_image
+from .limits import MAX_REGIONS, MAX_TWISTS
 from .words import BURAU_ONE, burau, burau_step, exponent_sum, to_artin
 
 
@@ -196,7 +197,7 @@ def skein_oracle(word: Sequence[int]) -> LaurentPoly2:
     """Closure polynomial of a word over s1 (2-strand closure).
 
     In the 2-strand group the word is s1^e for its exponent sum e, so this
-    is ``_torus2(e)``.  The domain is words in {±1} with at most one
+    is ``torus_homfly(e)``.  The domain is words in {±1} with at most one
     trailing ±2 letter, the trailing letter being a stabilisation that does
     not change the closure.
     """
@@ -205,7 +206,7 @@ def skein_oracle(word: Sequence[int]) -> LaurentPoly2:
         letters = letters[:-1]
     if any(abs(l) != 1 for l in letters):
         raise ValueError("skein_oracle handles s1-words with one optional trailing s2")
-    return _torus2(sum(1 if l > 0 else -1 for l in letters))
+    return torus_homfly(sum(1 if l > 0 else -1 for l in letters))
 
 
 def _chain(m: int) -> LaurentPoly2:
@@ -227,10 +228,12 @@ def _twist(n: int) -> tuple[LaurentPoly2, LaurentPoly2]:
     return _chain(n - 1).scale_by_monomial(1, 2, 0), _chain(n)
 
 
-def _torus2(k: int) -> LaurentPoly2:
-    """P of the 2-strand closure of s1^k, from P(0) = delta and P(1) = 1."""
+def torus_homfly(k: int) -> LaurentPoly2:
+    """P of the (2,k) torus link, the closure of s1^k s2, from P(0) = delta and P(1) = 1."""
+    if abs(k) > MAX_TWISTS:
+        raise ValueError(f"torus: {abs(k)} crossings exceed the limit of {MAX_TWISTS}")
     if k < 0:
-        return mirror_image(_torus2(-k))
+        return mirror_image(torus_homfly(-k))
     a, b = _twist(k)
     return a * delta_unlink_factor() + b
 
@@ -261,12 +264,7 @@ _check_basis_closures()
 
 
 # ---------------------------------------------------------------------------
-# Torus and pretzel evaluations driven by the same closed form.
-
-def torus_homfly(k: int) -> LaurentPoly2:
-    """P of the (2,k) torus link, the closure of s1^k s2."""
-    return _torus2(k)
-
+# Pretzel evaluations driven by the same closed form.
 
 def pretzel_homfly(twists: Sequence[int]) -> LaurentPoly2:
     """P of the parallel-oriented pretzel with the given twist counts.
@@ -274,7 +272,8 @@ def pretzel_homfly(twists: Sequence[int]) -> LaurentPoly2:
     In the parallel orientation the two strands of every twist region point
     the same way.  Neighbouring regions then point opposite ways, so the
     orientation exists only for an even number of regions; an odd count is
-    rejected.
+    rejected, and so are more than ``MAX_REGIONS`` regions or more than
+    ``MAX_TWISTS`` crossings in one region.
 
     The skein relation at a crossing of a region with a crossings reads
     P(.., a, ..) = v z P(.., a-1, ..) + v^2 P(.., a-2, ..), so
@@ -295,6 +294,10 @@ def pretzel_homfly(twists: Sequence[int]) -> LaurentPoly2:
         )
     if any(t < 0 for t in a):
         raise ValueError("twist counts must be non-negative")
+    if len(a) > MAX_REGIONS:
+        raise ValueError(f"pretzel: {len(a)} twist regions exceed the limit of {MAX_REGIONS}")
+    if max(a) > MAX_TWISTS:
+        raise ValueError(f"pretzel: {max(a)} crossings exceed the limit of {MAX_TWISTS}")
     # ``split`` sums the expansions with an empty region among those seen so
     # far; ``whole`` is the coefficient of the expansion with none.
     d = delta_unlink_factor()

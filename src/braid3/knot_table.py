@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import TableFormatError
 from .hecke import homfly
@@ -142,11 +142,10 @@ REFERENCE_WORDS: tuple[tuple[str, str], ...] = (
 )
 
 
-def make_table(words: Sequence[tuple[str, str]] | None = None) -> KnotTable:
+def make_table() -> KnotTable:
     """Build a table by computing the polynomial of each named braid word."""
-    pairs = REFERENCE_WORDS if words is None else tuple(words)
     entries = []
-    for name, text in pairs:
+    for name, text in REFERENCE_WORDS:
         word = parse_word(text)
         entries.append((name, homfly(word), closure_components(word)))
     return KnotTable(tuple(entries))

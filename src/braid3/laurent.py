@@ -27,18 +27,74 @@ from typing import Iterator, Mapping
 from .errors import PolySyntaxError
 
 
-def _normalized(terms: Mapping) -> dict:
-    return {e: c for e, c in terms.items() if c != 0}
+class _LaurentPoly:
+    """The ring code of ``LaurentPoly1`` and ``LaurentPoly2``.
+
+    ``_terms`` maps each exponent to its nonzero coefficient.  A subclass
+    supplies ``var``, ``_like`` (a value in the same ring), ``_ONE`` (the
+    exponent of 1), ``items`` and ``_term`` (one rendered term).  Values in
+    different rings are never equal, and ``+``, ``-`` and ``*`` refuse them.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping | None = None):
+        self._terms = {e: c for e, c in (terms or {}).items() if c != 0}
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def _check_ring(self, other) -> None:
+        if type(other) is not type(self) or other.var != self.var:
+            raise ValueError(f"variable mismatch: {self.var} vs {getattr(other, 'var', other)}")
+
+    def __add__(self, other):
+        self._check_ring(other)
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            out[e] = out.get(e, 0) + c
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({e: -c for e, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not defined here")
+        out = self._like({self._ONE: 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.var == self.var and other._terms == self._terms
+
+    def __hash__(self) -> int:
+        return hash((self.var, frozenset(self._terms.items())))
+
+    def render(self) -> str:
+        return " + ".join([self._term(e, c) for e, c in self.items()]) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.var!r}, {self.render()!r})"
 
 
-class LaurentPoly1:
+class LaurentPoly1(_LaurentPoly):
     """A Laurent polynomial over Z in one tagged variable."""
 
-    __slots__ = ("var", "_terms")
+    __slots__ = ("var",)
+    _ONE = 0
 
     def __init__(self, var: str, terms: Mapping[int, int] | None = None):
         self.var = var
-        self._terms = _normalized(terms or {})
+        _LaurentPoly.__init__(self, terms)
+
+    def _like(self, terms: Mapping[int, int]) -> "LaurentPoly1":
+        return LaurentPoly1(self.var, terms)
 
     @classmethod
     def zero(cls, var: str) -> "LaurentPoly1":
@@ -52,49 +108,20 @@ class LaurentPoly1:
     def monomial(cls, var: str, coeff: int, exp: int) -> "LaurentPoly1":
         return cls(var, {exp: coeff})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._terms.items()))
 
     def coefficient(self, exp: int) -> int:
         return self._terms.get(exp, 0)
 
-    def _check_var(self, other: "LaurentPoly1") -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        self._check_var(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly1(self.var, out)
-
-    def __neg__(self) -> "LaurentPoly1":
-        return LaurentPoly1(self.var, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        self._check_var(other)
+        self._check_ring(other)
         out: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly1(self.var, out)
-
-    def __pow__(self, n: int) -> "LaurentPoly1":
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        out = LaurentPoly1.one(self.var)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def max_deg(self) -> int:
         if self.is_zero:
@@ -119,7 +146,7 @@ class LaurentPoly1:
 
     def div_exact(self, other: "LaurentPoly1") -> "LaurentPoly1":
         """Exact division; raises ValueError if the quotient is not in the ring."""
-        self._check_var(other)
+        self._check_ring(other)
         if other.is_zero:
             raise ValueError("division by zero polynomial")
         if self.is_zero:
@@ -145,33 +172,19 @@ class LaurentPoly1:
                     del num[k]
         return LaurentPoly1(self.var, quo)
 
-    def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = [f"{c}*{self.var}^{e}" for e, c in self.items()]
-        return " + ".join(parts)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LaurentPoly1)
-            and self.var == other.var
-            and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.var, frozenset(self._terms.items())))
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly1({self.var!r}, {self.render()!r})"
+    def _term(self, e: int, c: int) -> str:
+        return f"{c}*{self.var}^{e}"
 
 
-class LaurentPoly2:
+class LaurentPoly2(_LaurentPoly):
     """A Laurent polynomial over Z in v and z, keyed by (deg_v, deg_z)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    var = "v,z"
+    _ONE = (0, 0)
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        self._terms = _normalized(terms or {})
+    def _like(self, terms: Mapping[tuple[int, int], int]) -> "LaurentPoly2":
+        return LaurentPoly2(terms)
 
     @classmethod
     def zero(cls) -> "LaurentPoly2":
@@ -185,10 +198,6 @@ class LaurentPoly2:
     def monomial(cls, coeff: int, dv: int, dz: int) -> "LaurentPoly2":
         return cls({(dv, dz): coeff})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         # Canonical order: (dz, dv) ascending, used for rendering too.
         return iter(sorted(self._terms.items(), key=lambda t: (t[0][1], t[0][0])))
@@ -199,33 +208,14 @@ class LaurentPoly2:
     def terms_dict(self) -> dict[tuple[int, int], int]:
         return dict(self._terms)
 
-    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly2(out)
-
-    def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly2") -> "LaurentPoly2":
+        self._check_ring(other)
         out: dict[tuple[int, int], int] = {}
         for (v1, z1), c1 in self._terms.items():
             for (v2, z2), c2 in other._terms.items():
                 e = (v1 + v2, z1 + z2)
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly2(out)
-
-    def __pow__(self, n: int) -> "LaurentPoly2":
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        out = LaurentPoly2.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def scale_by_monomial(self, coeff: int, dv: int, dz: int) -> "LaurentPoly2":
         return LaurentPoly2(
@@ -253,19 +243,8 @@ class LaurentPoly2:
         """The polynomial in v multiplying z^dz (zero if absent)."""
         return LaurentPoly1("v", {a: c for (a, b), c in self._terms.items() if b == dz})
 
-    def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"{c}*v^{a}*z^{b}" for (a, b), c in self.items())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPoly2) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly2({self.render()!r})"
+    def _term(self, e: tuple[int, int], c: int) -> str:
+        return f"{c}*v^{e[0]}*z^{e[1]}"
 
 
 def delta_unlink_factor() -> LaurentPoly2:

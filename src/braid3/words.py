@@ -19,10 +19,12 @@ from operator import add, neg
 from typing import Sequence
 
 from .errors import WordSyntaxError
+from .limits import MAX_WORD_LETTERS
 
 Word = tuple[int, ...]
 
 DELTA = (2, 1)  # the dual Garside element, as a word
+DELTA_INV = (-1, -2)  # its inverse
 HALF_TWIST = (1, 2, 1)  # Delta = [121]; its square generates the centre
 
 
@@ -49,7 +51,8 @@ def parse_word(text: str) -> Word:
 
     Brackets are optional, separators are whitespace or commas, and a token
     ``g^k`` repeats the letter g k times (a negative k repeats the inverse
-    letter).  Zero and out-of-range subscripts are rejected.
+    letter).  Zero and out-of-range subscripts are rejected, and so is a
+    word of more than ``MAX_WORD_LETTERS`` letters, before it is built.
     """
     stripped = text.strip()
     if stripped.startswith("[") and stripped.endswith("]"):
@@ -69,6 +72,8 @@ def parse_word(text: str) -> Word:
             raise WordSyntaxError(f"subscript out of range in {token!r}", pos)
         if power < 0:
             letter, power = -letter, -power
+        if power > MAX_WORD_LETTERS - len(letters):
+            raise WordSyntaxError(f"the word exceeds the limit of {MAX_WORD_LETTERS} letters", pos)
         letters.extend([letter] * power)
     return tuple(letters)
 

@@ -35,6 +35,7 @@ from typing import Sequence
 from .errors import ConsistencyError
 from .words import (
     DELTA,
+    DELTA_INV,
     Word,
     closure_components,
     inverse,
@@ -45,8 +46,6 @@ from .words import (
 TYPE_A_POSITIVE = "type-A-positive"
 TYPE_A_NEGATIVE = "type-A-negative"
 TYPE_B = "type-B"
-
-_DELTA_INV = (-1, -2)
 
 QP_POSITIVE = "positive"
 QP_MIRROR = "mirror-positive"
@@ -70,7 +69,7 @@ class XuNormalForm:
         if self.kind == TYPE_A_POSITIVE:
             return DELTA * self.k + self.R
         if self.kind == TYPE_A_NEGATIVE:
-            return inverse(self.L) + _DELTA_INV * self.k
+            return inverse(self.L) + DELTA_INV * self.k
         return inverse(self.L) + self.R
 
     @property

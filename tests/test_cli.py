@@ -92,6 +92,39 @@ def test_pretzel_odd_region_count_exits_one(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["homfly", "1^99999999999999999999"], "10000 letters"),
+        (["reduce", "1^-99999999999999999999"], "10000 letters"),
+        (["invariants", "[1 2 " + "3^5000 " * 2 + "]"], "10000 letters"),
+        (["torus", "99999999999999999999999"], "10000"),
+        (["torus", "-10001"], "10000"),
+        (["pretzel", "99999999999999999999,2"], "10000"),
+        (["pretzel", "2,10001"], "10000"),
+        (["pretzel", ",".join(["1"] * 102)], "limit of 100"),
+    ],
+)
+def test_inputs_over_a_limit_exit_one_before_expansion(capsys, monkeypatch, argv, limit):
+    def no_expansion(n):
+        raise AssertionError("twist expansion started")
+
+    monkeypatch.setattr(hecke, "_twist", no_expansion)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "exceed" in err and limit in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("twists", ["2,,2", "2,2,", ",2,2", "2, ,2"])
+def test_pretzel_empty_twist_field_exits_one(capsys, twists):
+    code, out, err = run_cli(capsys, "pretzel", twists)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: pretzel: empty twist count")
+
+
 def test_enumerate_csv(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--max-bands", "2")
     assert code == 0

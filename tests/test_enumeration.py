@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +22,6 @@ from braid3.enumeration import (
     genus_census,
     nondecreasing_words,
     realizable_3braid,
-    verify_theorem1,
 )
 from braid3.errors import CapExceededError
 from braid3.hecke import homfly
@@ -26,6 +30,8 @@ from braid3.laurent import parse_poly
 from braid3.words import cyclic_rotate, shift_indices
 from braid3.xu import reduce
 from conftest import random_word, words_st
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def canonical_key_by_definition(word):
@@ -99,10 +105,19 @@ class TestGeneration:
 
 
 class TestSweep:
-    def test_theorem1_small(self):
-        rep = verify_theorem1(6)
-        assert rep.orbit_counts[0] == 1
-        assert rep.checked == sum(rep.orbit_counts.values())
+    def test_run_sweeps_script(self):
+        # the one sweep: every degree law, the sign rule and the PMCF law on
+        # all 1,505 orbits of 0-8 bands
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_sweeps.py"), "--max-bands", "8"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "all degree and coefficient laws hold on 1505 orbits"
 
 
 class TestCensus:

@@ -10,7 +10,6 @@ from braid3 import hecke
 from braid3.enumeration import constructive_orbits
 from braid3.errors import ConsistencyError
 from braid3.hecke import (
-    _torus2,
     homfly,
     homfly_many,
     pretzel_homfly,
@@ -330,7 +329,7 @@ def _pretzel_recursive(a):
 class TestIterativeEqualsRecursive:
     def test_torus(self):
         for k in range(-12, 13):
-            assert _torus2(k) == _torus2_recursive(k)
+            assert torus_homfly(k) == _torus2_recursive(k)
             assert torus_homfly(k) == (
                 _torus2_recursive(k) if k >= 0 else mirror_image(_torus2_recursive(-k))
             )

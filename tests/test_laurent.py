@@ -141,3 +141,50 @@ def test_parse_errors_carry_position():
     assert exc.value.term_index == 1
     with pytest.raises(PolySyntaxError):
         parse_poly("")
+
+
+poly1_st = st.builds(
+    LaurentPoly1,
+    st.sampled_from(("z", "s")),
+    st.dictionaries(st.integers(-4, 4), st.integers(-2, 2), max_size=3),
+)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (LaurentPoly2.one(), LaurentPoly1("z", {1: 1})),
+        (LaurentPoly1("z", {1: 1}), LaurentPoly2.one()),
+        (LaurentPoly1("z", {1: 1}), LaurentPoly1("s", {1: 1})),
+        (LaurentPoly2.zero(), LaurentPoly1.zero("z")),
+    ],
+)
+def test_arithmetic_across_rings_raises(p, q):
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError):
+            op(p, q)
+
+
+def _twin(p):
+    # an equal value built afresh from the terms
+    if isinstance(p, LaurentPoly1):
+        return LaurentPoly1(p.var, dict(p.items()))
+    return LaurentPoly2(p.terms_dict())
+
+
+@given(st.one_of(poly1_st, poly2_st), st.one_of(poly1_st, poly2_st))
+def test_equal_values_have_equal_hashes(p, q):
+    for a, b in ((p, q), (p, _twin(p))):
+        if a == b:
+            assert hash(a) == hash(b)
+    assert p == _twin(p)
+    if type(p) is not type(q) or p.var != q.var:
+        assert p != q and q != p
+
+
+@given(poly1_st)
+def test_one_variable_never_equals_another_ring(p):
+    terms = dict(p.items())
+    assert p != LaurentPoly2({(e, 0): c for e, c in terms.items()})
+    assert p != LaurentPoly2({(0, e): c for e, c in terms.items()})
+    assert p != LaurentPoly1("s" if p.var == "z" else "z", terms)

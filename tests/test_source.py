@@ -3,6 +3,7 @@ import importlib
 from pathlib import Path
 
 import braid3
+from braid3.laurent import LaurentPoly1, LaurentPoly2
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,3 +67,12 @@ def test_perfbench_trace_points_resolve_and_restore(monkeypatch):
     after = _bindings(tracer)
     assert after.keys() == bound.keys()
     assert [key for key in bound if after[key] is not bound[key]] == []
+
+
+def test_each_polynomial_class_has_its_own_mul():
+    # the tracer wraps both methods by name; one shared __mul__ would be
+    # wrapped twice and counted twice
+    mul1, mul2 = vars(LaurentPoly1).get("__mul__"), vars(LaurentPoly2).get("__mul__")
+    assert callable(mul1) and callable(mul2)
+    assert mul1 is not mul2
+    assert mul1.__code__ is not mul2.__code__

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from braid3.errors import WordSyntaxError
+from braid3.limits import MAX_WORD_LETTERS
 from braid3.words import (
     BURAU_ONE,
     DELTA,
@@ -56,6 +57,14 @@ class TestParsing:
             parse_word("[4]")
         with pytest.raises(WordSyntaxError):
             parse_word("[1 x]")
+
+    def test_letter_limit(self):
+        # counted before the word is built: 1^(10^20) would not fit in memory
+        assert len(parse_word(f"1^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
+        assert len(parse_word(f"[1 -2^{MAX_WORD_LETTERS - 2} 3]")) == MAX_WORD_LETTERS
+        for text in (f"1^{MAX_WORD_LETTERS + 1}", f"2 1^{MAX_WORD_LETTERS}", "3^-" + "9" * 20):
+            with pytest.raises(WordSyntaxError, match=f"limit of {MAX_WORD_LETTERS} letters"):
+                parse_word(text)
 
     def test_render(self):
         assert render_word((1, -2, 3)) == "[1 -2 3]"
