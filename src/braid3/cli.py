@@ -21,8 +21,14 @@ from .limits import MAX_BANDS_CEILING
 from .words import parse_word, render_word
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is bad input (exit 1), not argparse's exit 2
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braid3",
         description="Exact invariants of closed 3-braids in the band presentation.",
     )
@@ -134,19 +140,18 @@ def _run(args) -> int:
     if args.command == "enumerate":
         cap = _max_bands(args)
         table = knot_table.load_table(args.table) if args.table else None
-        rows = []
         if args.genus is not None:
             entries = enumeration.genus_census(args.genus, table=table, cap=cap)
         else:
-            entries = []
-            for n in range(args.max_bands + 1):
-                entries.extend(enumeration.enumerate_minimal(n, cap=cap))
-            if table is not None:
-                entries = [
-                    dataclasses.replace(e, matched_name=table.match(e.polynomial))
-                    for e in entries
-                ]
+            entries = [
+                e for n in range(cap + 1) for e in enumeration.enumerate_minimal(n, cap=cap, table=table)
+            ]
+        rendered: dict[int, str] = {}  # by id: homfly_many shares polynomial objects
+        rows = []
         for e in entries:
+            text = rendered.get(id(e.polynomial))
+            if text is None:
+                text = rendered[id(e.polynomial)] = render_poly(e.polynomial)
             rows.append(
                 {
                     "length": e.length,
@@ -154,7 +159,7 @@ def _run(args) -> int:
                     "kind": e.kind,
                     "components": e.components,
                     "chi": e.chi,
-                    "polynomial": render_poly(e.polynomial),
+                    "polynomial": text,
                     "name": e.matched_name or "",
                 }
             )

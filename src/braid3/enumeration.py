@@ -16,7 +16,7 @@ small n and is exercised by the acceptance suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import xu
@@ -24,7 +24,7 @@ from .errors import CapExceededError, ConsistencyError
 from .hecke import homfly_many, pretzel_homfly
 from .invariants import OTHER, classify_leading_coefficient, mwf_lower_bound
 from .laurent import LaurentPoly2, mirror_image
-from .words import DELTA, DELTA_INV, Word, closure_components, inverse, shift_letter
+from .words import DELTA, DELTA_INV, Word, closure_components, inverse, render_word, shift_letter
 
 DEFAULT_MAX_BANDS = 14
 
@@ -57,12 +57,12 @@ def canonical_key(word: Sequence[int]) -> Word:
     return best
 
 
-def nondecreasing_words(length: int) -> Iterator[Word]:
+def nondecreasing_words(length: int, firsts: Sequence[int] = (1, 2, 3)) -> Iterator[Word]:
     """Positive words where each subscript is followed by itself or +1 mod 3."""
     if length == 0:
         yield ()
         return
-    for first in (1, 2, 3):
+    for first in firsts:
         for steps in itertools.product((0, 1), repeat=length - 1):
             word = [first]
             for s in steps:
@@ -81,8 +81,10 @@ def generate_normal_forms(length: int) -> Iterator[tuple[str, Word]]:
         if length > 0:
             for l in nondecreasing_words(rest):
                 yield xu.TYPE_A_NEGATIVE, inverse(l) + DELTA_INV * k
+    # The type-B conditions are shift-invariant, so L[0] == 1 leaves one word per
+    # orbit; type A keeps every shift ([2 1 3] has no partner with R[0] == 1).
     for left_len in range(1, length):
-        for left in nondecreasing_words(left_len):
+        for left in nondecreasing_words(left_len, firsts=(1,)):
             for right in nondecreasing_words(length - left_len):
                 if left[0] != right[0] and left[-1] != right[-1]:
                     yield xu.TYPE_B, inverse(left) + right
@@ -108,8 +110,8 @@ def poly_class_key(p: LaurentPoly2) -> tuple:
     return min(a, b)
 
 
-def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:
-    """All minimal-word orbits of exactly the given length, sorted."""
+def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS, table=None) -> list[CensusEntry]:
+    """All minimal-word orbits of exactly the given length, sorted, named from the table."""
     if length > cap:
         raise CapExceededError(
             f"length {length} exceeds the enumeration cap {cap}; raise --max-bands"
@@ -119,9 +121,18 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
         key = canonical_key(word)
         if key not in seen:
             seen[key] = kind
+        elif kind == xu.TYPE_B:
+            raise ConsistencyError(f"type-B word {render_word(word)} repeats orbit {render_word(key)}")
     # Sorted keys share long prefixes, whose Burau products homfly_many
     # computes only once.
     keys = sorted(seen)
+    polys = homfly_many(keys)
+    # homfly_many shares one object per (exponent sum, trace): name each object once.
+    names: dict[int, str | None] = {}
+    if table is not None:
+        for p in polys:
+            if id(p) not in names:
+                names[id(p)] = table.match(p)
     return [
         CensusEntry(
             word=key,
@@ -130,8 +141,9 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
             components=closure_components(key),
             chi=3 - length,
             polynomial=poly,
+            matched_name=names.get(id(poly)),
         )
-        for key, poly in zip(keys, homfly_many(keys))
+        for key, poly in zip(keys, polys)
     ]
 
 
@@ -157,10 +169,7 @@ def genus_census(g: int, table=None, cap: int = DEFAULT_MAX_BANDS) -> list[Censu
     """All knot orbits of genus g (minimal length 2g + 2), with names attached."""
     if g < 0:
         raise ValueError("genus must be non-negative")
-    entries = [e for e in enumerate_minimal(2 * g + 2, cap=cap) if e.components == 1]
-    if table is not None:
-        entries = [replace(e, matched_name=table.match(e.polynomial)) for e in entries]
-    return entries
+    return [e for e in enumerate_minimal(2 * g + 2, cap=cap, table=table) if e.components == 1]
 
 
 def census_classes(entries: Sequence[CensusEntry]) -> list[list[CensusEntry]]:

@@ -5,7 +5,8 @@ import pytest
 from braid3 import enumeration, hecke, invariants
 from braid3.cli import run
 from braid3.hecke import homfly
-from braid3.laurent import LaurentPoly2, parse_poly
+from braid3.knot_table import load_table
+from braid3.laurent import LaurentPoly2, parse_poly, render_poly
 from braid3.words import parse_word
 
 
@@ -144,6 +145,29 @@ def test_enumerate_genus_with_table(capsys, tmp_path):
     assert "5_2" in out and "4_1" in out and "3_1" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--max-bands", "7"], ["--genus", "2"]],
+    ids=["max-bands-7", "genus-2"],
+)
+def test_census_rows_equal_a_per_row_recomputation(capsys, tmp_path, argv):
+    # each distinct polynomial is rendered and matched once per command;
+    # every row must still read as if computed on its own
+    table_path = tmp_path / "ref.csv"
+    assert run_cli(capsys, "make-table", "-o", str(table_path))[0] == 0
+    table = load_table(str(table_path))
+    code, out, err = run_cli(
+        capsys, "--format", "structured", "enumerate", *argv, "--table", str(table_path)
+    )
+    assert code == 0, err
+    rows = json.loads(out)
+    assert rows and any(row["name"] for row in rows)
+    for row in rows:
+        poly = homfly(parse_word(row["word"]))
+        assert row["polynomial"] == render_poly(poly), row
+        assert row["name"] == (table.match(poly) or ""), row
+
+
 def test_check_poly_realizable(capsys):
     code, out, _ = run_cli(capsys, "check-poly", "--poly", "1*v^0*z^0")
     assert code == 0
@@ -244,6 +268,33 @@ def test_file_errors_exit_one(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error:") and str(tmp_path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["torus", "x"], 1),
+        (["pretzel", "-1,2"], 1),
+        (["enumerate", "--max-bands", "x"], 1),
+        (["no-such-command"], 1),
+        (["--help"], 0),
+    ],
+    ids=["torus-not-an-int", "pretzel-read-as-option", "max-bands-not-an-int", "unknown-command", "help"],
+)
+def test_usage_errors_exit_one(capsys, argv, code):
+    # exit 2 is kept for broken internal identities; --help still exits 0
+    try:
+        got = run(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    assert "Traceback" not in err
+    if code == 0:
+        assert out.startswith("usage: braid3") and err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error: braid3") and err.count("\n") == 1 and "usage:" not in err
 
 
 def test_bad_word_exits_one(capsys):

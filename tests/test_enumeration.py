@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from braid3 import enumeration, xu
+from braid3.cli import run
 from braid3.enumeration import (
     REASON_LEADING,
     REASON_MWF,
@@ -23,11 +25,11 @@ from braid3.enumeration import (
     nondecreasing_words,
     realizable_3braid,
 )
-from braid3.errors import CapExceededError
+from braid3.errors import CapExceededError, ConsistencyError
 from braid3.hecke import homfly
 from braid3.knot_table import make_table
 from braid3.laurent import parse_poly
-from braid3.words import cyclic_rotate, shift_indices
+from braid3.words import DELTA, DELTA_INV, cyclic_rotate, inverse, shift_indices
 from braid3.xu import reduce
 from conftest import random_word, words_st
 
@@ -75,6 +77,33 @@ class TestCanonicalKey:
         assert canonical_key(canonical_key(w)) == canonical_key(w)
 
 
+def all_shift_normal_forms(length):
+    """The normal forms with every subscript shift of every type-B word.
+
+    This generated three words for each type-B orbit; ``generate_normal_forms``
+    keeps only the one with ``L[0] == 1``.
+    """
+    for k in range(length // 2 + 1):
+        rest = length - 2 * k
+        for r in nondecreasing_words(rest):
+            yield xu.TYPE_A_POSITIVE, DELTA * k + r
+        if length > 0:
+            for l in nondecreasing_words(rest):
+                yield xu.TYPE_A_NEGATIVE, inverse(l) + DELTA_INV * k
+    for left_len in range(1, length):
+        for left in nondecreasing_words(left_len):
+            for right in nondecreasing_words(length - left_len):
+                if left[0] != right[0] and left[-1] != right[-1]:
+                    yield xu.TYPE_B, inverse(left) + right
+
+
+def first_kind_by_orbit(pairs):
+    seen = {}
+    for kind, word in pairs:
+        seen.setdefault(canonical_key(word), kind)
+    return seen
+
+
 class TestGeneration:
     def test_nondecreasing_counts(self):
         assert sum(1 for _ in nondecreasing_words(0)) == 1
@@ -102,6 +131,34 @@ class TestGeneration:
     def test_completeness_small(self):
         for n in range(0, 5):
             assert brute_force_orbits(n) == constructive_orbits(n)
+
+    def test_one_type_b_word_per_orbit_against_all_shifts(self):
+        # same orbits and the same first-seen kind (so the same census rows)
+        # as the all-shifts generator, with three times fewer type-B words
+        for n in range(0, 12):
+            old = list(all_shift_normal_forms(n))
+            new = list(generate_normal_forms(n))
+            assert first_kind_by_orbit(new) == first_kind_by_orbit(old), n
+            new_b = [canonical_key(w) for kind, w in new if kind == xu.TYPE_B]
+            old_b = [w for kind, w in old if kind == xu.TYPE_B]
+            assert len(set(new_b)) == len(new_b), n
+            assert 3 * len(new_b) == len(old_b), n
+
+    def test_repeated_type_b_orbit_is_a_consistency_error(self, monkeypatch, capsys):
+        # [-1 2] and [-1 3] are the two type-B words of length 2, in
+        # different orbits; a key that collapses them breaks the identity
+        key = canonical_key
+
+        def collapsing(word):
+            return key((-1, 2)) if tuple(word) == (-1, 3) else key(word)
+
+        monkeypatch.setattr(enumeration, "canonical_key", collapsing)
+        with pytest.raises(ConsistencyError, match=r"type-B word \[-1 3\]"):
+            enumerate_minimal(2)
+        assert run(["enumerate", "--max-bands", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: type-B word [-1 3]")
 
 
 class TestSweep:
