@@ -24,7 +24,7 @@ from .errors import CapExceededError, ConsistencyError
 from .hecke import homfly_many, pretzel_homfly
 from .invariants import OTHER, classify_leading_coefficient, mwf_lower_bound
 from .laurent import LaurentPoly2, mirror_image
-from .words import DELTA, DELTA_INV, Word, closure_components, inverse, render_word, shift_letter
+from .words import DELTA, Word, closure_components, inverse, render_word, shift_letter
 
 DEFAULT_MAX_BANDS = 14
 
@@ -77,10 +77,11 @@ def generate_normal_forms(length: int) -> Iterator[tuple[str, Word]]:
     for k in range(length // 2 + 1):
         rest = length - 2 * k
         for r in nondecreasing_words(rest):
-            yield xu.TYPE_A_POSITIVE, DELTA * k + r
-        if length > 0:
-            for l in nondecreasing_words(rest):
-                yield xu.TYPE_A_NEGATIVE, inverse(l) + DELTA_INV * k
+            word = DELTA * k + r
+            yield xu.TYPE_A_POSITIVE, word
+            if length > 0:
+                # inverse(delta^k R) = R^{-1} delta^{-k}, the type A- form
+                yield xu.TYPE_A_NEGATIVE, inverse(word)
     # The type-B conditions are shift-invariant, so L[0] == 1 leaves one word per
     # orbit; type A keeps every shift ([2 1 3] has no partner with R[0] == 1).
     for left_len in range(1, length):
@@ -127,7 +128,7 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS, table=None) -> 
     # computes only once.
     keys = sorted(seen)
     polys = homfly_many(keys)
-    # homfly_many shares one object per (exponent sum, trace): name each object once.
+    # homfly_many shares one object per distinct polynomial: name each object once.
     names: dict[int, str | None] = {}
     if table is not None:
         for p in polys:

@@ -17,7 +17,8 @@ z = s - s^{-1} and u = s^2,
 
 ``homfly`` multiplies the dense Burau matrices of the Artin expansion
 (``words.to_artin``, ``words.burau_step``), divides each c_k exactly by
-(1 + u) and then by (1 + u + u^2), and maps the quotient, a polynomial
+(1 + u)(1 + u + u^2) = 1 + 2u + 2u^2 + u^3 in one synthetic division
+(``laurent.exact_quotient``), and maps the quotient, a polynomial
 symmetric under s -> -s^{-1}, to z through s^j + (-1)^j s^{-j} = L_j(z) with
 L_j = z L_(j-1) + L_(j-2).  A division that leaves a remainder or a
 quotient that is not symmetric means a broken identity and raises
@@ -37,7 +38,7 @@ from operator import add
 from typing import Sequence
 
 from .errors import ConsistencyError
-from .laurent import LaurentPoly2, delta_unlink_factor, mirror_image
+from .laurent import LaurentPoly2, delta_unlink_factor, exact_quotient, mirror_image
 from .limits import MAX_REGIONS, MAX_TWISTS
 from .words import BURAU_ONE, burau, burau_step, exponent_sum, to_artin
 
@@ -54,23 +55,6 @@ def _trace(lo: int, a: Sequence[int], d: Sequence[int]) -> tuple[int, tuple[int,
     while not tr[start]:
         start += 1
     return lo + start, tuple(tr[start:hi])
-
-
-def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """num / den for dense polynomials in u, by synthetic division from u^0.
-
-    ``den[0]`` must be 1; a nonzero remainder raises ``ConsistencyError``.
-    """
-    q = list(num)
-    cut = len(num) - len(den) + 1
-    for i in range(cut):
-        c = q[i]
-        if c:
-            for j in range(1, len(den)):
-                q[i + j] -= c * den[j]
-    if any(q[max(cut, 0) :]):
-        raise ConsistencyError(f"the trace formula does not divide exactly by {den}")
-    return q[:cut]
 
 
 def _to_z(bottom: int, coeffs: list[int]) -> list[int]:
@@ -140,7 +124,9 @@ def _skein_from_trace(e: int, lo: int, trace: tuple[int, ...]) -> LaurentPoly2:
             continue
         low = min(exps)
         num = [f.get(x, 0) for x in range(low, max(exps) + 1)]
-        quo = _exact_div(_exact_div(num, (1, 1)), (1, 1, 1))
+        quo = exact_quotient(num, (1, 2, 2, 1))  # (1 + u)(1 + u + u^2)
+        if quo is None:
+            raise ConsistencyError("the trace formula does not divide exactly by (1+u)(1+u+u^2)")
         dv = e - 2 + 2 * k
         for dz, c in enumerate(_to_z(e + 2 * low, quo)):
             if c:
@@ -160,10 +146,12 @@ def homfly_many(words: Sequence[Sequence[int]]) -> list[LaurentPoly2]:
     ``stack[i]`` is the Burau product of the first i Artin letters of the
     previous word, so a sorted list of short words costs little more than
     its distinct suffixes.  Each distinct (exponent sum, trace) pair is
-    converted to a polynomial once per call.
+    converted to a polynomial once per call, and equal polynomials from
+    different pairs (``[1]`` and ``[-1]``) come back as one object.
     """
     out: list[LaurentPoly2] = []
     seen: dict[tuple[int, int, tuple[int, ...]], LaurentPoly2] = {}
+    by_value: dict[LaurentPoly2, LaurentPoly2] = {}
     prev: tuple[int, ...] = ()
     stack = [BURAU_ONE]
     for word in words:
@@ -182,7 +170,8 @@ def homfly_many(words: Sequence[Sequence[int]]) -> list[LaurentPoly2]:
         key = (exponent_sum(w), *_trace(lo, a, d))
         poly = seen.get(key)
         if poly is None:
-            poly = seen[key] = _skein_from_trace(*key)
+            poly = _skein_from_trace(*key)
+            poly = seen[key] = by_value.setdefault(poly, poly)
         out.append(poly)
         prev = w
     return out
@@ -206,7 +195,7 @@ def skein_oracle(word: Sequence[int]) -> LaurentPoly2:
         letters = letters[:-1]
     if any(abs(l) != 1 for l in letters):
         raise ValueError("skein_oracle handles s1-words with one optional trailing s2")
-    return torus_homfly(sum(1 if l > 0 else -1 for l in letters))
+    return torus_homfly(exponent_sum(letters))
 
 
 def _chain(m: int) -> LaurentPoly2:

@@ -22,7 +22,7 @@ allowed as a constant term, and the zero polynomial written "0".
 from __future__ import annotations
 
 import re
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import PolySyntaxError
 
@@ -151,26 +151,13 @@ class LaurentPoly1(_LaurentPoly):
             raise ValueError("division by zero polynomial")
         if self.is_zero:
             return LaurentPoly1.zero(self.var)
-        num = dict(self._terms)
-        den = dict(other._terms)
-        dmax, lead = max(den), den[max(den)]
-        # An exact quotient has min degree min(self) - min(den); going below
-        # that means the division cannot terminate.
-        qmin = min(num) - min(den)
-        quo: dict[int, int] = {}
-        while num:
-            nmax = max(num)
-            c, r = divmod(num[nmax], lead)
-            q = nmax - dmax
-            if r != 0 or q < qmin:
-                raise ValueError("division is not exact")
-            quo[q] = quo.get(q, 0) + c
-            for e, ce in den.items():
-                k = e + q
-                num[k] = num.get(k, 0) - c * ce
-                if num[k] == 0:
-                    del num[k]
-        return LaurentPoly1(self.var, quo)
+        nlo, dlo = self.min_deg(), other.min_deg()
+        num = [self._terms.get(e, 0) for e in range(nlo, self.max_deg() + 1)]
+        den = [other._terms.get(e, 0) for e in range(dlo, other.max_deg() + 1)]
+        quo = exact_quotient(num, den)
+        if quo is None:
+            raise ValueError("division is not exact")
+        return LaurentPoly1(self.var, dict(enumerate(quo, nlo - dlo)))
 
     def _term(self, e: int, c: int) -> str:
         return f"{c}*{self.var}^{e}"
@@ -274,6 +261,34 @@ def conway(p: LaurentPoly2) -> LaurentPoly1:
     return LaurentPoly1("z", out)
 
 
+def exact_quotient(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
+    """num / den for dense integer polynomials, lowest degree first.
+
+    Synthetic division from the bottom: each quotient coefficient is what is
+    left of the numerator at that degree, divided by ``den[0]`` (nonzero).
+    Returns ``None`` if a coefficient does not divide or a remainder is left.
+    """
+    q = list(num)
+    cut = max(len(q) - len(den) + 1, 0)
+    for i in range(cut):
+        c, r = divmod(q[i], den[0])
+        if r:
+            return None
+        q[i] = c
+        for j in range(1, len(den)):
+            q[i + j] -= c * den[j]
+    return None if any(q[cut:]) else q[:cut]
+
+
+def _from_z(terms: Iterable[tuple[int, int, int]]) -> LaurentPoly1:
+    """The sum of c * s^shift * (s - s^{-1})^k over (shift, k, c) in ``terms``."""
+    s_minus = LaurentPoly1("s", {1: 1, -1: -1})
+    out = LaurentPoly1.zero("s")
+    for shift, k, c in terms:
+        out = out + (s_minus**k).shifted(shift) * LaurentPoly1.monomial("s", c, 0)
+    return out
+
+
 def alexander(nabla: LaurentPoly1) -> LaurentPoly1:
     """Substitute z = s - s^{-1} into a Conway polynomial (s = t^{1/2}).
 
@@ -283,11 +298,7 @@ def alexander(nabla: LaurentPoly1) -> LaurentPoly1:
         raise ValueError("alexander expects a polynomial in z")
     if not nabla.is_zero and nabla.min_deg() < 0:
         raise ValueError("Conway polynomial has negative z-exponents")
-    s_minus = LaurentPoly1("s", {1: 1, -1: -1})
-    out = LaurentPoly1.zero("s")
-    for e, c in nabla.items():
-        out = out + (s_minus**e) * LaurentPoly1.monomial("s", c, 0)
-    return out
+    return _from_z((0, e, c) for e, c in nabla.items())
 
 
 def jones(p: LaurentPoly2) -> LaurentPoly1:
@@ -296,16 +307,9 @@ def jones(p: LaurentPoly2) -> LaurentPoly1:
     Negative z-powers are cleared by an exact division, which succeeds for
     every polynomial actually satisfying the skein relation.
     """
-    if p.is_zero:
-        return LaurentPoly1.zero("s")
-    s_minus = LaurentPoly1("s", {1: 1, -1: -1})
-    bmin = p.min_deg_z()
-    acc = LaurentPoly1.zero("s")
-    for (a, b), c in p.terms_dict().items():
-        acc = acc + (s_minus ** (b - bmin)).shifted(2 * a) * LaurentPoly1.monomial("s", c, 0)
-    if bmin >= 0:
-        return acc * s_minus**bmin
-    return acc.div_exact(s_minus ** (-bmin))
+    bmin = min([0] + [b for _, b in p.terms_dict()])
+    acc = _from_z((2 * a, b - bmin, c) for (a, b), c in p.terms_dict().items())
+    return acc.div_exact(LaurentPoly1("s", {1: 1, -1: -1}) ** -bmin)
 
 
 _TERM_RE = re.compile(r"^(-?\d+)(?:\*v\^(-?\d+)\*z\^(-?\d+))?$")

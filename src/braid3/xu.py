@@ -166,6 +166,11 @@ def cancel_factors(L: Sequence[int], k: int, R: Sequence[int]) -> XuNormalForm:
     kl, Lw = extract_descents(tuple(L))
     kr, Rw = extract_descents(tuple(R))
     k = k - kl + kr
+    # L^{-1} delta^k R with k < 0 is the inverse of R^{-1} delta^{-k} L, which
+    # the same steps reduce with the same conjugator: swap, reduce, swap back.
+    flip = k < 0
+    if flip:
+        Lw, Rw, k = Rw, Lw, -k
     L_list, R_list = list(Lw), list(Rw)
     conj: list[int] = []
 
@@ -181,16 +186,6 @@ def cancel_factors(L: Sequence[int], k: int, R: Sequence[int]) -> XuNormalForm:
             k += dk
             R_list = list(R_new)
             continue
-        if k < 0 and R_list:
-            # (delta^{-1} s_j) R' = s_{j-1}^{-1} R', slid left past the rest.
-            j = R_list.pop(0)
-            m = -k
-            k += 1
-            L_list.insert(0, normalize_index(j + m - 2))
-            dk, L_new = extract_descents(tuple(L_list))
-            k -= dk
-            L_list = list(L_new)
-            continue
         if k == 0 and L_list and R_list:
             if L_list[0] == R_list[0]:  # free reduction at the seam
                 L_list.pop(0)
@@ -203,6 +198,8 @@ def cancel_factors(L: Sequence[int], k: int, R: Sequence[int]) -> XuNormalForm:
                 continue
         break
 
+    if flip:
+        L_list, R_list, k = R_list, L_list, -k
     L_out, R_out = tuple(L_list), tuple(R_list)
     conjugator = tuple(conj)
     if not L_out and k >= 0:

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braid3 import enumeration, hecke, invariants
 from braid3.cli import run
@@ -319,3 +323,54 @@ def test_determinism(capsys):
     code2, out2, _ = run_cli(capsys, "enumerate", "--max-bands", "4")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# Argv fuzz: short words with malformed tokens, polynomial texts, twist
+# lists and --max-bands in -1..7, so that every call stays fast.
+_word_token = st.sampled_from(
+    ["1", "2", "3", "-1", "-2", "-3", "1^3", "2^-2", "-3^2", "3^0", "0", "4", "x", "1^", "^2", "[", "]", ","]
+)
+_word_text = st.builds(
+    lambda tokens, brackets: f"[{' '.join(tokens)}]" if brackets else " ".join(tokens),
+    st.lists(_word_token, max_size=8),
+    st.booleans(),
+)
+_poly_term = st.builds(
+    lambda c, dv, dz: f"{c}*v^{dv}*z^{dz}", st.integers(-3, 3), st.integers(-4, 4), st.integers(-2, 6)
+)
+_poly_text = st.one_of(
+    st.lists(_poly_term, min_size=1, max_size=4).map(" + ".join),
+    st.sampled_from(["0", "1", "", "v^2", "1*v^2", "2*v^2*z^0 + -1*v^4*z^0 + 1*v^2*z^2", "1 +", "+"]),
+)
+_twist_field = st.one_of(
+    st.integers(-2, 12).map(str), st.sampled_from(["", "x", " 3", "1e3", "99999999999999999999"])
+)
+_max_bands = st.integers(-1, 7).map(str)
+_argv_tail = st.one_of(
+    st.tuples(st.sampled_from(["reduce", "homfly", "invariants"]), _word_text).map(list),
+    st.builds(
+        lambda n, genus, table: ["enumerate", "--max-bands", n]
+        + ([] if genus is None else ["--genus", str(genus)])
+        + ([] if table is None else ["--table", table]),
+        _max_bands,
+        st.none() | st.integers(-1, 4),
+        st.none() | st.just("no-such-dir/table.txt"),
+    ),
+    st.builds(lambda p, n: ["check-poly", "--poly", p, "--max-bands", n], _poly_text, _max_bands),
+    st.one_of(st.integers(-30, 30).map(str), st.sampled_from(["x", "", "1.5", "99999999999999999999999"])).map(
+        lambda k: ["torus", k]
+    ),
+    st.lists(_twist_field, max_size=5).map(lambda fields: ["pretzel", ",".join(fields)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["text", "structured"]), _argv_tail)
+def test_fuzzed_argv_exits_zero_or_one(fmt, tail):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["--format", fmt, *tail])
+    assert code in (0, 1), (tail, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""

@@ -367,6 +367,14 @@ class TestHomflyMany:
             assert got == [expected[w] for w in words]
             assert got == [folded[w] for w in words]
 
+    def test_one_object_per_distinct_polynomial(self, orbit_keys):
+        # [1] and [-1] differ in exponent sum and trace but both close to the
+        # 2-component unlink; the census renders and names each object once
+        polys = homfly_many(orbit_keys)
+        assert len({id(p) for p in polys}) == len(set(polys))
+        one, minus_one = homfly_many([(1,), (-1,)])
+        assert one is minus_one
+
     def test_duplicates_and_empty_word(self):
         words = [(), (1, 2), (1, 2), (), (1, 2, 3), (1,), (1, 2), (), (-3, 1, -2)]
         words += RUN_SEAM_WORDS

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from braid3.laurent import (
     alexander,
     conway,
     delta_unlink_factor,
+    exact_quotient,
     jones,
     mirror_image,
     parse_poly,
@@ -112,6 +115,65 @@ def test_div_exact():
     assert p.div_exact(s_minus * s_minus) == LaurentPoly1("s", {3: 2, 0: -1})
     with pytest.raises(ValueError):
         LaurentPoly1.one("s").div_exact(s_minus)
+
+
+def _random_poly1(rng):
+    # negative exponents and end coefficients other than +-1
+    coeffs = (-7, -3, -2, -1, 1, 2, 3, 5)
+    return LaurentPoly1("s", {rng.randint(-6, 6): rng.choice(coeffs) for _ in range(rng.randint(1, 5))})
+
+
+def _dense(p):
+    return [p.coefficient(e) for e in range(p.min_deg(), p.max_deg() + 1)]
+
+
+def test_div_exact_inverts_multiplication():
+    rng = random.Random(1987)
+    remainders = 0
+    for _ in range(600):
+        a, b = _random_poly1(rng), _random_poly1(rng)
+        assert (a * b).div_exact(b) == a
+        assert exact_quotient(_dense(a * b), _dense(b)) == _dense(a)
+        span = b.max_deg() - b.min_deg()
+        if span == 0:
+            continue  # no nonzero remainder spans fewer degrees than a monomial
+        # a nonzero remainder spanning fewer degrees than b is no multiple of b
+        lo = rng.randint(-8, 8)
+        r = LaurentPoly1("s", {lo + i: rng.randint(-4, 4) for i in range(span)})
+        if r.is_zero:
+            continue
+        remainders += 1
+        with pytest.raises(ValueError, match="^division is not exact$"):
+            (a * b + r).div_exact(b)
+        assert exact_quotient(_dense(a * b + r), _dense(b)) is None
+    assert remainders > 300
+
+
+def test_exact_quotient_examples():
+    # (1 + u)^2 (1 + u + u^2) over (1 + u)(1 + u + u^2)
+    assert exact_quotient([1, 3, 4, 3, 1], [1, 2, 2, 1]) == [1, 1]
+    assert exact_quotient([1, 3, 4, 3, 2], [1, 2, 2, 1]) is None  # remainder u^4
+    assert exact_quotient([6, -4], [2]) == [3, -2]
+    assert exact_quotient([3], [2]) is None  # 3 / 2 leaves a remainder
+    assert exact_quotient([-2, 0, 2], [-1, 1]) == [2, 2]
+    assert exact_quotient([1], [1, 1]) is None  # fewer terms than the divisor
+    assert exact_quotient([], [1, 1]) == []
+    assert exact_quotient([0, 0], [1, 1]) == [0]
+
+
+def test_div_exact_errors():
+    s = LaurentPoly1("s", {1: 1})
+    with pytest.raises(ValueError, match="^division by zero polynomial$"):
+        s.div_exact(LaurentPoly1.zero("s"))
+    with pytest.raises(ValueError, match="^variable mismatch"):
+        s.div_exact(LaurentPoly1("z", {1: 1}))
+    with pytest.raises(ValueError, match="^division is not exact$"):
+        LaurentPoly1("s", {0: 3}).div_exact(LaurentPoly1("s", {0: 2}))
+    assert LaurentPoly1.zero("s").div_exact(s) == LaurentPoly1.zero("s")
+
+
+def test_jones_of_zero():
+    assert jones(LaurentPoly2.zero()) == LaurentPoly1.zero("s")
 
 
 def test_parse_render_examples():

@@ -86,6 +86,47 @@ class TestCancelFactors:
         assert nf.minimal_length == 4
 
 
+_SWAPPED_KIND = {TYPE_A_POSITIVE: TYPE_A_NEGATIVE, TYPE_A_NEGATIVE: TYPE_A_POSITIVE, TYPE_B: TYPE_B}
+
+
+def positive_words(max_len):
+    for n in range(max_len + 1):
+        yield from itertools.product((1, 2, 3), repeat=n)
+
+
+def assert_inverse_symmetry(L, k, R):
+    # L^-1 delta^k R is the inverse of R^-1 delta^-k L: the two reduce to
+    # mirrored forms under the same conjugator, except that the empty word
+    # is type A+ from both sides
+    nf, swapped = cancel_factors(L, k, R), cancel_factors(R, -k, L)
+    if nf.minimal_length == 0:
+        assert swapped == nf
+        return
+    assert swapped == XuNormalForm(_SWAPPED_KIND[nf.kind], nf.R, nf.k, nf.L, nf.conjugator)
+
+
+class TestInverseSymmetry:
+    def test_all_short_factors(self):
+        words = list(positive_words(3))
+        for L, R in itertools.product(words, repeat=2):
+            for k in range(-4, 5):
+                assert_inverse_symmetry(L, k, R)
+
+    def test_seeded_factors_up_to_five_letters(self):
+        rng = random.Random(1992)
+        for _ in range(3000):
+            L = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 5)))
+            R = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 5)))
+            assert_inverse_symmetry(L, rng.randint(-4, 4), R)
+
+    def test_negative_power_certifies(self):
+        for L, k, R in [((1, 2), -3, (3,)), ((), -2, (1, 1)), ((2,), -1, (2, 3, 3)), ((3, 1), -4, ())]:
+            nf = cancel_factors(L, k, R)
+            w = concat(inverse(L), inverse((2, 1) * -k), R)
+            assert certify(w, nf)
+            assert nf.minimal_length <= len(w)
+
+
 class TestReduce:
     def test_free_pair(self):
         nf = reduce((1, -1))
