@@ -3,8 +3,8 @@
 For each length this verifies, orbit by orbit:
   * the laws of ``braid3.invariants.check_laws``: max deg_z P = length - 2
     (so the genus is visible in the polynomial), min deg_v P <= max deg_z P,
-    and the z-leading coefficient lies in the allowed unit classes,
-  * no -(1 + v^2) leading coefficient for 1 or 3 components,
+    the z-leading coefficient lies in the allowed unit classes, and it is
+    -(1 + v^2) only for 2 components,
   * the strong-quasipositivity criterion implies a positive band form.
 
 Usage:  python scripts/run_sweeps.py [--max-bands N]
@@ -17,7 +17,7 @@ from collections import Counter
 
 from braid3.enumeration import enumerate_minimal
 from braid3.errors import ConsistencyError
-from braid3.invariants import ONE_PLUS_V2, check_laws, pmcf_predicate
+from braid3.invariants import check_laws, pmcf_predicate
 from braid3.xu import is_strongly_quasipositive
 
 
@@ -40,12 +40,7 @@ def main() -> int:
         kinds = Counter(e.components for e in entries)
         for e in entries:
             p = e.polynomial
-            cls = check_laws(p, e.chi, e.word)
-            law(
-                not (e.components in (1, 3) and cls.tag == ONE_PLUS_V2 and cls.sign == -1),
-                "no -(1 + v^2) leading coefficient for 1 or 3 components",
-                e,
-            )
+            check_laws(p, e.chi, e.word)
             if pmcf_predicate(p):
                 qp = is_strongly_quasipositive(e.word)
                 law(qp != "no", "PMCF implies a positive band form", e)

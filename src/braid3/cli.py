@@ -141,17 +141,17 @@ def _run(args) -> int:
         cap = _max_bands(args)
         table = knot_table.load_table(args.table) if args.table else None
         if args.genus is not None:
-            entries = enumeration.genus_census(args.genus, table=table, cap=cap)
+            entries = enumeration.genus_census(args.genus, cap=cap)
         else:
-            entries = [
-                e for n in range(cap + 1) for e in enumeration.enumerate_minimal(n, cap=cap, table=table)
-            ]
-        rendered: dict[int, str] = {}  # by id: homfly_many shares polynomial objects
+            entries = [e for n in range(cap + 1) for e in enumeration.enumerate_minimal(n, cap=cap)]
+        # by id: homfly_many shares one object per distinct polynomial, rendered and named once
+        cells: dict[int, tuple[str, str]] = {}
         rows = []
         for e in entries:
-            text = rendered.get(id(e.polynomial))
-            if text is None:
-                text = rendered[id(e.polynomial)] = render_poly(e.polynomial)
+            cell = cells.get(id(e.polynomial))
+            if cell is None:
+                name = table.match(e.polynomial) if table is not None else None
+                cell = cells[id(e.polynomial)] = (render_poly(e.polynomial), name or "")
             rows.append(
                 {
                     "length": e.length,
@@ -159,8 +159,8 @@ def _run(args) -> int:
                     "kind": e.kind,
                     "components": e.components,
                     "chi": e.chi,
-                    "polynomial": text,
-                    "name": e.matched_name or "",
+                    "polynomial": cell[0],
+                    "name": cell[1],
                 }
             )
         if args.format == "structured":

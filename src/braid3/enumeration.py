@@ -70,25 +70,32 @@ def nondecreasing_words(length: int, firsts: Sequence[int] = (1, 2, 3)) -> Itera
             yield tuple(word)
 
 
-def generate_normal_forms(length: int) -> Iterator[tuple[str, Word]]:
-    """All normal-form words of the given length, labelled with their kind."""
+def generate_normal_forms(length: int) -> Iterator[Word]:
+    """All normal-form words of the given length."""
     if length < 0:
         raise ValueError("length must be non-negative")
     for k in range(length // 2 + 1):
         rest = length - 2 * k
         for r in nondecreasing_words(rest):
             word = DELTA * k + r
-            yield xu.TYPE_A_POSITIVE, word
+            yield word
             if length > 0:
                 # inverse(delta^k R) = R^{-1} delta^{-k}, the type A- form
-                yield xu.TYPE_A_NEGATIVE, inverse(word)
+                yield inverse(word)
     # The type-B conditions are shift-invariant, so L[0] == 1 leaves one word per
     # orbit; type A keeps every shift ([2 1 3] has no partner with R[0] == 1).
     for left_len in range(1, length):
         for left in nondecreasing_words(left_len, firsts=(1,)):
             for right in nondecreasing_words(length - left_len):
                 if left[0] != right[0] and left[-1] != right[-1]:
-                    yield xu.TYPE_B, inverse(left) + right
+                    yield inverse(left) + right
+
+
+def _kind(word: Sequence[int]) -> str:
+    """Xu kind of a normal form, read from its signs (the empty word is type A+)."""
+    if min(word, default=1) > 0:
+        return xu.TYPE_A_POSITIVE
+    return xu.TYPE_A_NEGATIVE if max(word) < 0 else xu.TYPE_B
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,6 @@ class CensusEntry:
     components: int
     chi: int
     polynomial: LaurentPoly2
-    matched_name: str | None = None
 
 
 def poly_class_key(p: LaurentPoly2) -> tuple:
@@ -111,40 +117,25 @@ def poly_class_key(p: LaurentPoly2) -> tuple:
     return min(a, b)
 
 
-def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS, table=None) -> list[CensusEntry]:
-    """All minimal-word orbits of exactly the given length, sorted, named from the table."""
+def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:
+    """All minimal-word orbits of exactly the given length, sorted by key."""
     if length > cap:
         raise CapExceededError(
             f"length {length} exceeds the enumeration cap {cap}; raise --max-bands"
         )
-    seen: dict[Word, str] = {}
-    for kind, word in generate_normal_forms(length):
-        key = canonical_key(word)
-        if key not in seen:
-            seen[key] = kind
-        elif kind == xu.TYPE_B:
-            raise ConsistencyError(f"type-B word {render_word(word)} repeats orbit {render_word(key)}")
     # Sorted keys share long prefixes, whose Burau products homfly_many
     # computes only once.
-    keys = sorted(seen)
-    polys = homfly_many(keys)
-    # homfly_many shares one object per distinct polynomial: name each object once.
-    names: dict[int, str | None] = {}
-    if table is not None:
-        for p in polys:
-            if id(p) not in names:
-                names[id(p)] = table.match(p)
+    keys = sorted(constructive_orbits(length))
     return [
         CensusEntry(
             word=key,
-            kind=seen[key],
+            kind=_kind(key),
             length=length,
             components=closure_components(key),
             chi=3 - length,
             polynomial=poly,
-            matched_name=names.get(id(poly)),
         )
-        for key, poly in zip(keys, polys)
+        for key, poly in zip(keys, homfly_many(keys))
     ]
 
 
@@ -163,14 +154,21 @@ def brute_force_orbits(length: int) -> set[Word]:
 
 
 def constructive_orbits(length: int) -> set[Word]:
-    return {canonical_key(word) for _, word in generate_normal_forms(length)}
+    """The census's orbit set; type-B words come one per orbit, so a repeat is a bug."""
+    keys: set[Word] = set()
+    for word in generate_normal_forms(length):
+        key = canonical_key(word)
+        if key in keys and _kind(word) == xu.TYPE_B:
+            raise ConsistencyError(f"type-B word {render_word(word)} repeats orbit {render_word(key)}")
+        keys.add(key)
+    return keys
 
 
-def genus_census(g: int, table=None, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:
-    """All knot orbits of genus g (minimal length 2g + 2), with names attached."""
+def genus_census(g: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:
+    """All knot orbits of genus g (minimal length 2g + 2)."""
     if g < 0:
         raise ValueError("genus must be non-negative")
-    return [e for e in enumerate_minimal(2 * g + 2, cap=cap, table=table) if e.components == 1]
+    return [e for e in enumerate_minimal(2 * g + 2, cap=cap) if e.components == 1]
 
 
 def census_classes(entries: Sequence[CensusEntry]) -> list[list[CensusEntry]]:

@@ -22,7 +22,7 @@ z = s - s^{-1} and u = s^2,
 symmetric under s -> -s^{-1}, to z through s^j + (-1)^j s^{-j} = L_j(z) with
 L_j = z L_(j-1) + L_(j-2).  A division that leaves a remainder or a
 quotient that is not symmetric means a broken identity and raises
-``ConsistencyError``.
+``ConsistencyError`` naming the word.
 
 At import time the six basis braids 1, a, b, ab, ba, aba must give the
 closure values that ``trace_table_from_oracle`` rederives from closed
@@ -40,7 +40,7 @@ from typing import Sequence
 from .errors import ConsistencyError
 from .laurent import LaurentPoly2, delta_unlink_factor, exact_quotient, mirror_image
 from .limits import MAX_REGIONS, MAX_TWISTS
-from .words import BURAU_ONE, burau, burau_step, exponent_sum, to_artin
+from .words import BURAU_ONE, burau, burau_step, exponent_sum, render_word, to_artin
 
 
 def _trace(lo: int, a: Sequence[int], d: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -57,7 +57,7 @@ def _trace(lo: int, a: Sequence[int], d: Sequence[int]) -> tuple[int, tuple[int,
     return lo + start, tuple(tr[start:hi])
 
 
-def _to_z(bottom: int, coeffs: list[int]) -> list[int]:
+def _to_z(bottom: int, coeffs: list[int], word: Sequence[int]) -> list[int]:
     """z-coefficients of the s-polynomial sum_i coeffs[i] s^(bottom + 2i).
 
     The polynomial must be symmetric under s -> -s^{-1}, so that it is
@@ -69,7 +69,7 @@ def _to_z(bottom: int, coeffs: list[int]) -> list[int]:
     top = -bottom
     mirrored = [-x for x in coeffs] if top & 1 else coeffs
     if bottom + 2 * (len(coeffs) - 1) != top or coeffs[::-1] != mirrored:
-        raise ConsistencyError("the trace formula gave a polynomial that is not one in z")
+        raise ConsistencyError(f"the trace formula gave a polynomial not one in z for {render_word(word)}")
     c = [0] * (top + 1)  # c[j]: coefficient of s^j, j >= 0
     c[top::-2] = coeffs[::-1][: top // 2 + 1]
     b1: list[int] = []  # b_(j+1) as z-coefficients, one shorter than b_j
@@ -101,8 +101,8 @@ def _numerators(e: int):
     )
 
 
-def _skein_from_trace(e: int, lo: int, trace: tuple[int, ...]) -> LaurentPoly2:
-    """P of the closure of a braid with exponent sum e and Burau trace T.
+def _skein_from_trace(e: int, lo: int, trace: tuple[int, ...], word: Sequence[int]) -> LaurentPoly2:
+    """P of the closure of ``word``, a braid with exponent sum e and Burau trace T.
 
     ``trace`` holds the coefficients of T over t^lo, t^(lo+1), ...
     """
@@ -126,9 +126,11 @@ def _skein_from_trace(e: int, lo: int, trace: tuple[int, ...]) -> LaurentPoly2:
         num = [f.get(x, 0) for x in range(low, max(exps) + 1)]
         quo = exact_quotient(num, (1, 2, 2, 1))  # (1 + u)(1 + u + u^2)
         if quo is None:
-            raise ConsistencyError("the trace formula does not divide exactly by (1+u)(1+u+u^2)")
+            raise ConsistencyError(
+                f"the trace formula does not divide exactly by (1+u)(1+u+u^2) for {render_word(word)}"
+            )
         dv = e - 2 + 2 * k
-        for dz, c in enumerate(_to_z(e + 2 * low, quo)):
+        for dz, c in enumerate(_to_z(e + 2 * low, quo, word)):
             if c:
                 out[(dv, dz - 2)] = c
     return LaurentPoly2(out)
@@ -137,7 +139,7 @@ def _skein_from_trace(e: int, lo: int, trace: tuple[int, ...]) -> LaurentPoly2:
 def homfly(word: Sequence[int]) -> LaurentPoly2:
     """Skein polynomial of the closure, from the exponent sum and one Burau product."""
     m = burau(word)
-    return _skein_from_trace(m.exponent, *_trace(m.offset, m.a, m.d))
+    return _skein_from_trace(m.exponent, *_trace(m.offset, m.a, m.d), word)
 
 
 def homfly_many(words: Sequence[Sequence[int]]) -> list[LaurentPoly2]:
@@ -147,7 +149,8 @@ def homfly_many(words: Sequence[Sequence[int]]) -> list[LaurentPoly2]:
     previous word, so a sorted list of short words costs little more than
     its distinct suffixes.  Each distinct (exponent sum, trace) pair is
     converted to a polynomial once per call, and equal polynomials from
-    different pairs (``[1]`` and ``[-1]``) come back as one object.
+    different pairs (``[1]`` and ``[-1]``) come back as one object.  An error
+    names the first word with that pair.
     """
     out: list[LaurentPoly2] = []
     seen: dict[tuple[int, int, tuple[int, ...]], LaurentPoly2] = {}
@@ -170,7 +173,7 @@ def homfly_many(words: Sequence[Sequence[int]]) -> list[LaurentPoly2]:
         key = (exponent_sum(w), *_trace(lo, a, d))
         poly = seen.get(key)
         if poly is None:
-            poly = _skein_from_trace(*key)
+            poly = _skein_from_trace(*key, word)
             poly = seen[key] = by_value.setdefault(poly, poly)
         out.append(poly)
         prev = w

@@ -4,8 +4,9 @@ The central facts wired in as runtime checks: for every closed 3-braid,
 the top z-degree of the skein polynomial equals 1 - chi, the bottom
 v-degree never exceeds 1 - chi, and the coefficient of z^{1-chi} is, up to
 a unit +-v^k, one of 1, 1+v^2, 1-v^2, with (1-v^2)^2 reserved for the
-3-component unlink.  ``check_laws`` is the one place they are checked; a
-violation raises ``ConsistencyError`` (a bug), never a user error.
+3-component unlink and -(1+v^2) for 2-component links.  ``check_laws`` is
+the one place they are checked; a violation raises ``ConsistencyError``
+(a bug), never a user error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import xu
 from .errors import ConsistencyError
 from .hecke import homfly
 from .laurent import LaurentPoly1, LaurentPoly2, alexander, conway
-from .words import Word
+from .words import Word, closure_components
 
 UNIT_MONOMIAL = "unit-monomial"
 ONE_PLUS_V2 = "monomial-times-one-plus-v2"
@@ -81,6 +82,8 @@ def check_laws(p: LaurentPoly2, chi: int, word: Sequence[int]) -> CoeffClass:
     leading = classify_leading_coefficient(p, chi)
     if leading.tag == OTHER:
         raise ConsistencyError(f"leading coefficient outside the allowed classes for {word}")
+    if leading.tag == ONE_PLUS_V2 and leading.sign == -1 and (n := closure_components(word)) != 2:
+        raise ConsistencyError(f"-(1 + v^2) leading coefficient with {n} component(s) for {word}")
     return leading
 
 

@@ -64,7 +64,7 @@ def _apply_convention(p: LaurentPoly2, convention: str) -> LaurentPoly2:
 
 
 def load_table(path: str) -> KnotTable:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_table(fh.read().splitlines())
 
 

@@ -88,6 +88,7 @@ def exponent_sum(word: Sequence[int]) -> int:
 
 # Transpositions induced on strand positions; signs are irrelevant.
 _PERM = {1: (1, 0, 2), 2: (0, 2, 1), 3: (2, 1, 0)}
+_CYCLES_BY_FIXED_POINTS = {3: 3, 1: 2, 0: 1}
 
 
 def permutation(word: Sequence[int]) -> tuple[int, int, int]:
@@ -99,19 +100,9 @@ def permutation(word: Sequence[int]) -> tuple[int, int, int]:
 
 
 def closure_components(word: Sequence[int]) -> int:
-    """Number of components of the closed braid: cycles of the permutation."""
+    """Components of the closed braid: 3, 2 or 1 as its permutation fixes 3, 1 or 0 points."""
     perm = permutation(word)
-    seen = [False] * 3
-    cycles = 0
-    for start in range(3):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return cycles
+    return _CYCLES_BY_FIXED_POINTS[(perm[0] == 0) + (perm[1] == 1) + (perm[2] == 2)]
 
 
 def mirror(word: Sequence[int]) -> Word:

@@ -65,9 +65,9 @@ def test_criterion_01_degree_equality_sweep(sweep):
 
 
 def test_criterion_02_genus_one_census(reference_table):
-    entries = genus_census(1, table=reference_table)
+    entries = genus_census(1)
     classes = census_classes(entries)
-    names = {e.matched_name for e in entries}
+    names = {reference_table.match(e.polynomial) for e in entries}
     ok = len(classes) == 3 and names == {"3_1", "4_1", "5_2"}
     announce(2, ok, f"genus-1 classes: {len(classes)}, names {sorted(names)}")
     assert len(classes) == 3
@@ -75,9 +75,9 @@ def test_criterion_02_genus_one_census(reference_table):
 
 
 def test_criterion_03_genus_two_census(reference_table):
-    entries = genus_census(2, table=reference_table)
+    entries = genus_census(2)
     classes = census_classes(entries)
-    labels = [{e.matched_name for e in cls} for cls in classes]
+    labels = [{reference_table.match(e.polynomial) for e in cls} for cls in classes]
     names = sorted(str(n) for label in labels for n in label)
     polys = {str(n): cls[0].polynomial for label, cls in zip(labels, classes) for n in label}
     expected = sorted(["3_1#3_1", "3_1#-3_1", "5_1", "6_2", "6_3", "7_3", "7_5", "8_20", "8_21"])

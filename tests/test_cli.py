@@ -189,6 +189,16 @@ def test_check_poly_not_realizable(capsys):
     assert payload["reason"] == "mwf-span-exceeds-3"
 
 
+def test_check_poly_reads_a_table_saved_with_a_byte_order_mark(capsys, tmp_path):
+    # make-table output starts with "#convention: morton"
+    path = tmp_path / "bom.csv"
+    assert run_cli(capsys, "make-table", "-o", str(path))[0] == 0
+    path.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    code, out, err = run_cli(capsys, "check-poly", "--poly", "1*v^0*z^0", "--table", str(path))
+    assert (code, err) == (0, "")
+    assert "matched name: unknot" in out
+
+
 def test_make_table_round_trip(capsys, tmp_path):
     path = tmp_path / "t.csv"
     code, _, _ = run_cli(capsys, "make-table", "-o", str(path))
@@ -217,11 +227,17 @@ def test_corrupted_trace_exits_two(capsys, monkeypatch):
         return lo, (coeffs[0] + 1,) + coeffs[1:]
 
     monkeypatch.setattr(hecke, "_trace", corrupted)
-    for argv in (["homfly", "[1 1 1 2]"], ["invariants", "[1 -2]"], ["enumerate", "--max-bands", "3"]):
+    # the error names the input word; the census names its first orbit, [].
+    for argv, word in (
+        (["homfly", "[1 1 1 2]"], "[1 1 1 2]"),
+        (["invariants", "[1 -2]"], "[1 -2]"),
+        (["enumerate", "--max-bands", "3"], "[]"),
+    ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("internal error:")
+        assert err.rstrip("\n").endswith(f" for {word}"), err
 
 
 @pytest.mark.parametrize("command", ["enumerate", "check-poly"])

@@ -29,7 +29,7 @@ from braid3.errors import CapExceededError, ConsistencyError
 from braid3.hecke import homfly
 from braid3.knot_table import make_table
 from braid3.laurent import parse_poly
-from braid3.words import DELTA, DELTA_INV, cyclic_rotate, inverse, shift_indices
+from braid3.words import DELTA, DELTA_INV, cyclic_rotate, inverse, permutation, shift_indices
 from braid3.xu import reduce
 from conftest import random_word, words_st
 
@@ -97,11 +97,17 @@ def all_shift_normal_forms(length):
                     yield xu.TYPE_B, inverse(left) + right
 
 
-def first_kind_by_orbit(pairs):
-    seen = {}
-    for kind, word in pairs:
-        seen.setdefault(canonical_key(word), kind)
-    return seen
+def cycle_count(perm):
+    # components of a closure by walking the cycles of its permutation
+    seen, cycles = set(), 0
+    for start in range(3):
+        if start not in seen:
+            cycles += 1
+            j = start
+            while j not in seen:
+                seen.add(j)
+                j = perm[j]
+    return cycles
 
 
 class TestGeneration:
@@ -112,11 +118,11 @@ class TestGeneration:
 
     def test_generated_words_are_minimal_and_normal(self):
         for n in range(0, 7):
-            for kind, word in generate_normal_forms(n):
+            for word in generate_normal_forms(n):
                 nf = reduce(word)
                 assert nf.minimal_length == n == len(word)
                 assert nf.minimal_word == word
-                assert nf.kind == kind
+                assert nf.kind == enumeration._kind(word)
 
     def test_length_zero(self):
         entries = enumerate_minimal(0)
@@ -133,16 +139,25 @@ class TestGeneration:
             assert brute_force_orbits(n) == constructive_orbits(n)
 
     def test_one_type_b_word_per_orbit_against_all_shifts(self):
-        # same orbits and the same first-seen kind (so the same census rows)
-        # as the all-shifts generator, with three times fewer type-B words
+        # the same orbits (so the same census rows, whose kind is read from
+        # the key) as the all-shifts generator, with three times fewer type-B words
         for n in range(0, 12):
             old = list(all_shift_normal_forms(n))
             new = list(generate_normal_forms(n))
-            assert first_kind_by_orbit(new) == first_kind_by_orbit(old), n
-            new_b = [canonical_key(w) for kind, w in new if kind == xu.TYPE_B]
+            assert constructive_orbits(n) == {canonical_key(w) for _, w in old}, n
+            new_b = [canonical_key(w) for w in new if enumeration._kind(w) == xu.TYPE_B]
             old_b = [w for kind, w in old if kind == xu.TYPE_B]
             assert len(set(new_b)) == len(new_b), n
             assert 3 * len(new_b) == len(old_b), n
+
+    def test_census_rows_against_reduction_and_permutation(self):
+        # kind and components are read from the key; xu.reduce and a cycle
+        # walk of the permutation derive them independently
+        for n in range(0, 11):
+            for e in enumerate_minimal(n):
+                assert e.kind == reduce(e.word).kind, e.word
+                assert e.components == cycle_count(permutation(e.word)), e.word
+                assert (e.length, e.chi) == (n, 3 - n)
 
     def test_repeated_type_b_orbit_is_a_consistency_error(self, monkeypatch, capsys):
         # [-1 2] and [-1 3] are the two type-B words of length 2, in
@@ -185,8 +200,8 @@ class TestCensus:
 
     def test_genus_one_names(self):
         table = make_table()
-        entries = genus_census(1, table=table)
-        names = {e.matched_name for e in entries}
+        entries = genus_census(1)
+        names = {table.match(e.polynomial) for e in entries}
         assert names == {"3_1", "4_1", "5_2"}
         assert len(census_classes(entries)) == 3
 

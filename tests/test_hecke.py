@@ -23,7 +23,7 @@ from braid3.laurent import (
     mirror_image,
     parse_poly,
 )
-from braid3.words import concat, dual, exponent_sum, mirror, parse_word
+from braid3.words import concat, dual, exponent_sum, mirror, parse_word, render_word
 from braid3.xu import reduce
 from conftest import random_word, words_st
 from fold_oracle import TRACE_TABLE, fold_homfly, fold_word
@@ -89,16 +89,19 @@ class TestBasisSelfCheck:
 
         monkeypatch.setattr(hecke, "_trace", corrupted)
         for w in [(), (1,), (1, 1, 1, 2), (1, -2, 3, -3)]:
-            with pytest.raises(ConsistencyError, match="divide exactly"):
+            with pytest.raises(ConsistencyError, match="divide exactly") as info:
                 homfly(w)
-        with pytest.raises(ConsistencyError):
+            assert str(info.value).endswith(f" for {render_word(w)}")
+        # homfly_many names the first word with the broken (e, T)
+        with pytest.raises(ConsistencyError) as info:
             homfly_many([(1, 2), (1, 2, 3)])
+        assert str(info.value).endswith(" for [1 2]")
         with pytest.raises(ConsistencyError):
             hecke._check_basis_closures()
 
     def test_asymmetric_quotient_raises_consistency_error(self):
-        with pytest.raises(ConsistencyError, match="not one in z"):
-            hecke._to_z(-2, [1, 0, 0])
+        with pytest.raises(ConsistencyError, match=r"not one in z for \[1 -2\]$"):
+            hecke._to_z(-2, [1, 0, 0], (1, -2))
 
 
 class TestTraceTable:

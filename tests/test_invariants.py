@@ -52,6 +52,12 @@ class TestCheckLaws:
         p = homfly(self.WORD)
         assert check_laws(p, -1, self.WORD) == classify_leading_coefficient(p, -1)
 
+    def test_sign_rule_allows_two_components(self):
+        # [-3 -2 -1] closes to a 2-component link with z-leading coefficient -(1 + v^2) v^-3
+        w = (-3, -2, -1)
+        leading = check_laws(homfly(w), 0, w)
+        assert (leading.tag, leading.sign, leading.k) == (ONE_PLUS_V2, -1, -3)
+
     @pytest.mark.parametrize(
         "doctored, law",
         [
@@ -72,6 +78,12 @@ class TestCheckLaws:
                 lambda p: p + parse_poly("3*v^2*z^2"),
                 "leading coefficient outside the allowed classes",
                 id="leading-class",
+            ),
+            # z^2 coefficient -(v^2 + v^4) on a knot: the sign rule
+            pytest.param(
+                lambda p: p + parse_poly("-2*v^2*z^2 + -1*v^4*z^2"),
+                "-(1 + v^2) leading coefficient with 1 component(s)",
+                id="sign-rule",
             ),
         ],
     )

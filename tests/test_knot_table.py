@@ -73,6 +73,22 @@ def test_az_convention():
     assert morton.get("3_1") == az.get("3_1")
 
 
+def test_byte_order_mark_before_convention_header(tmp_path):
+    # editors such as Notepad save UTF-8 with a byte-order mark; the header
+    # after it must still select the convention
+    path = tmp_path / "az.csv"
+    path.write_text(
+        "#convention: az\n3_1,1,2*v^-2*z^0 + -1*v^-4*z^0 + 1*v^-2*z^2\n", encoding="utf-8-sig"
+    )
+    assert load_table(str(path)).get("3_1") == homfly((1, 1, 1, 2))
+
+
+def test_byte_order_mark_before_first_record(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("unknot,1,1*v^0*z^0\n", encoding="utf-8-sig")
+    assert load_table(str(path)).names() == ["unknot"]
+
+
 def test_unknown_convention_rejected():
     with pytest.raises(TableFormatError):
         parse_table(["#convention: kauffman", "k,1,1"])
