@@ -18,13 +18,16 @@ from collections import Counter
 from braid3.enumeration import enumerate_minimal
 from braid3.errors import ConsistencyError
 from braid3.invariants import check_laws, pmcf_predicate
+from braid3.words import render_word
 from braid3.xu import is_strongly_quasipositive
 
 
 def law(holds: bool, name: str, entry) -> None:
     """Raise ConsistencyError (never stripped by -O) when a law fails on an orbit."""
     if not holds:
-        raise ConsistencyError(f"{name} fails for length {entry.length}, word {entry.word}")
+        raise ConsistencyError(
+            f"{name} fails for length {entry.length}, word {render_word(entry.word)}"
+        )
 
 
 def main() -> int:

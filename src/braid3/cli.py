@@ -71,12 +71,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, structured: dict, text_lines: list[str]) -> None:
+# one encoder for every record, built once: a dumps call with options builds one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _emit(args, payload: dict, lines: list[str] | None = None) -> None:
+    """One record: a JSON object, or text lines (``key: value`` unless given)."""
     if args.format == "structured":
-        print(json.dumps(structured, sort_keys=True))
+        print(_ENCODER.encode(payload))
     else:
-        for line in text_lines:
+        for line in lines if lines is not None else (f"{k}: {v}" for k, v in payload.items()):
             print(line)
+
+
+_CSV_HEADER = "length,word,kind,components,chi,polynomial,name\n"
+_CSV_ROW = '{length},"{word}",{kind},{components},{chi},"{polynomial}",{name}\n'
+
+
+def _write_census(entries, table, structured: bool) -> None:
+    """Write census rows one at a time: CSV lines, or one JSON array framed as
+    the encoder frames a list (``[``, rows joined by ``, ``, ``]``)."""
+    out = sys.stdout
+    out.write("[" if structured else _CSV_HEADER)
+    # by id: homfly_many shares one object per distinct polynomial, rendered and named once
+    cells: dict[int, tuple[str, str]] = {}
+    separator = ""
+    for e in entries:
+        cell = cells.get(id(e.polynomial))
+        if cell is None:
+            name = table.match(e.polynomial) if table is not None else None
+            cell = cells[id(e.polynomial)] = (render_poly(e.polynomial), name or "")
+        row = {
+            "length": e.length,
+            "word": render_word(e.word),
+            "kind": e.kind,
+            "components": e.components,
+            "chi": e.chi,
+            "polynomial": cell[0],
+            "name": cell[1],
+        }
+        if structured:
+            out.write(separator + _ENCODER.encode(row))
+            separator = ", "
+        else:
+            out.write(_CSV_ROW.format_map(row))
+    if structured:
+        out.write("]\n")
 
 
 def _plain(value):
@@ -117,116 +157,73 @@ def _max_bands(args) -> int:
     return n
 
 
-def _run(args) -> int:
+def _run(args) -> None:
     if args.command == "reduce":
-        word = parse_word(args.word)
-        payload = _reduce_payload(word)
-        _emit(args, payload, [f"{k}: {v}" for k, v in payload.items()])
-        return 0
+        _emit(args, _reduce_payload(parse_word(args.word)))
 
-    if args.command == "homfly":
-        word = parse_word(args.word)
-        text = render_poly(homfly(word))
+    elif args.command == "invariants":
+        rep = invariants.report(parse_word(args.word))
+        _emit(args, {f.name: _plain(getattr(rep, f.name)) for f in dataclasses.fields(rep)})
+
+    elif args.command in ("homfly", "torus", "pretzel"):
+        if args.command == "homfly":
+            p = homfly(parse_word(args.word))
+        elif args.command == "torus":
+            p = torus_homfly(args.k)
+        else:
+            fields = args.twists.split(",")
+            if not all(f.strip() for f in fields):
+                raise ValueError(f"pretzel: empty twist count in {args.twists!r}")
+            p = pretzel_homfly([int(f) for f in fields])
+        text = render_poly(p)
         _emit(args, {"polynomial": text}, [text])
-        return 0
 
-    if args.command == "invariants":
-        word = parse_word(args.word)
-        rep = invariants.report(word)
-        payload = {f.name: _plain(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
-        _emit(args, payload, [f"{k}: {v}" for k, v in payload.items()])
-        return 0
-
-    if args.command == "enumerate":
+    elif args.command == "enumerate":
         cap = _max_bands(args)
-        table = knot_table.load_table(args.table) if args.table else None
+        table = knot_table.load_table(args.table) if args.table is not None else None
         if args.genus is not None:
             entries = enumeration.genus_census(args.genus, cap=cap)
         else:
             entries = [e for n in range(cap + 1) for e in enumeration.enumerate_minimal(n, cap=cap)]
-        # by id: homfly_many shares one object per distinct polynomial, rendered and named once
-        cells: dict[int, tuple[str, str]] = {}
-        rows = []
-        for e in entries:
-            cell = cells.get(id(e.polynomial))
-            if cell is None:
-                name = table.match(e.polynomial) if table is not None else None
-                cell = cells[id(e.polynomial)] = (render_poly(e.polynomial), name or "")
-            rows.append(
-                {
-                    "length": e.length,
-                    "word": render_word(e.word),
-                    "kind": e.kind,
-                    "components": e.components,
-                    "chi": e.chi,
-                    "polynomial": cell[0],
-                    "name": cell[1],
-                }
-            )
-        if args.format == "structured":
-            print(json.dumps(rows, sort_keys=True))
-        else:
-            print("length,word,kind,components,chi,polynomial,name")
-            for r in rows:
-                print(
-                    f"{r['length']},\"{r['word']}\",{r['kind']},{r['components']},"
-                    f"{r['chi']},\"{r['polynomial']}\",{r['name']}"
-                )
-        return 0
+        # the census is complete before the first byte, so a failure leaves stdout empty
+        _write_census(entries, table, args.format == "structured")
 
-    if args.command == "check-poly":
+    elif args.command == "check-poly":
         cap = _max_bands(args)
         p = parse_poly(args.poly)
-        table = knot_table.load_table(args.table) if args.table else None
+        table = knot_table.load_table(args.table) if args.table is not None else None
         verdict = enumeration.realizable_3braid(p, cap=cap)
         name = table.match(p) if table is not None else None
         payload = {
             "realizable": verdict.realizable,
             "reason": verdict.reason,
-            "witness": render_word(verdict.witness) if verdict.witness else None,
+            # the 3-component unlink's witness is the empty word, so compare with None
+            "witness": render_word(verdict.witness) if verdict.witness is not None else None,
             "matched_name": name,
         }
-        lines = [
-            "realizable" if verdict.realizable else f"not realizable ({verdict.reason})"
-        ]
-        if verdict.witness:
-            lines.append(f"witness: {render_word(verdict.witness)}")
-        if name:
+        lines = ["realizable" if verdict.realizable else f"not realizable ({verdict.reason})"]
+        if payload["witness"] is not None:
+            lines.append(f"witness: {payload['witness']}")
+        if name is not None:
             lines.append(f"matched name: {name}")
         _emit(args, payload, lines)
-        return 0
 
-    if args.command == "torus":
-        text = render_poly(torus_homfly(args.k))
-        _emit(args, {"polynomial": text}, [text])
-        return 0
-
-    if args.command == "pretzel":
-        fields = args.twists.split(",")
-        if not all(f.strip() for f in fields):
-            raise ValueError(f"pretzel: empty twist count in {args.twists!r}")
-        twists = [int(f) for f in fields]
-        text = render_poly(pretzel_homfly(twists))
-        _emit(args, {"polynomial": text}, [text])
-        return 0
-
-    if args.command == "make-table":
+    elif args.command == "make-table":
         content = knot_table.render_table(knot_table.make_table())
-        if args.output:
+        if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(content)
         else:
             sys.stdout.write(content)
-        return 0
 
-    raise AssertionError("unreachable")
+    else:
+        raise AssertionError("unreachable")
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _run(args)
+        _run(_build_parser().parse_args(argv))
+        return 0
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from . import xu
 from .errors import ConsistencyError
 from .hecke import homfly
 from .laurent import LaurentPoly1, LaurentPoly2, alexander, conway
-from .words import Word, closure_components
+from .words import Word, closure_components, render_word
 
 UNIT_MONOMIAL = "unit-monomial"
 ONE_PLUS_V2 = "monomial-times-one-plus-v2"
@@ -69,21 +69,20 @@ def check_laws(p: LaurentPoly2, chi: int, word: Sequence[int]) -> CoeffClass:
     of the z-leading coefficient; a failed law raises ``ConsistencyError``
     naming the law and the word.
     """
+    def failed(law: str) -> ConsistencyError:
+        return ConsistencyError(f"{law} for {render_word(word)}")
+
     max_z = p.max_deg_z()
     if max_z != 1 - chi:
-        raise ConsistencyError(
-            f"top z-degree {max_z} differs from 1 - chi = {1 - chi} for {word}"
-        )
+        raise failed(f"top z-degree {max_z} differs from 1 - chi = {1 - chi}")
     min_v = p.min_deg_v()
     if min_v > 1 - chi:
-        raise ConsistencyError(
-            f"bottom v-degree {min_v} exceeds 1 - chi = {1 - chi} for {word}"
-        )
+        raise failed(f"bottom v-degree {min_v} exceeds 1 - chi = {1 - chi}")
     leading = classify_leading_coefficient(p, chi)
     if leading.tag == OTHER:
-        raise ConsistencyError(f"leading coefficient outside the allowed classes for {word}")
+        raise failed("leading coefficient outside the allowed classes")
     if leading.tag == ONE_PLUS_V2 and leading.sign == -1 and (n := closure_components(word)) != 2:
-        raise ConsistencyError(f"-(1 + v^2) leading coefficient with {n} component(s) for {word}")
+        raise failed(f"-(1 + v^2) leading coefficient with {n} component(s)")
     return leading
 
 

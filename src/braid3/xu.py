@@ -40,6 +40,7 @@ from .words import (
     closure_components,
     inverse,
     normalize_index,
+    render_word,
     shift_letter,
 )
 
@@ -207,7 +208,9 @@ def cancel_factors(L: Sequence[int], k: int, R: Sequence[int]) -> XuNormalForm:
     if not R_out and k <= 0:
         return XuNormalForm(TYPE_A_NEGATIVE, L_out, -k, (), conjugator)
     if k != 0:
-        raise ConsistencyError(f"mixed form L={L_out} R={R_out} ended with delta power {k}")
+        raise ConsistencyError(
+            f"mixed form L={render_word(L_out)} R={render_word(R_out)} ended with delta power {k}"
+        )
     return XuNormalForm(TYPE_B, L_out, 0, R_out, conjugator)
 
 

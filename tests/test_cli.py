@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from braid3 import enumeration, hecke, invariants
 from braid3.cli import run
+from braid3.errors import ConsistencyError
 from braid3.hecke import homfly
 from braid3.knot_table import load_table
 from braid3.laurent import LaurentPoly2, parse_poly, render_poly
-from braid3.words import parse_word
+from braid3.words import parse_word, render_word
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +173,128 @@ def test_census_rows_equal_a_per_row_recomputation(capsys, tmp_path, argv):
         assert row["name"] == (table.match(poly) or ""), row
 
 
+@pytest.fixture
+def escaped_table(capsys, tmp_path):
+    """A make-table table whose 3_1 and 4_1 names need JSON escaping."""
+    path = tmp_path / "escaped.csv"
+    assert run_cli(capsys, "make-table", "-o", str(path))[0] == 0
+    text = path.read_text(encoding="utf-8")
+    text = text.replace("\n3_1,", '\ntre"foil,').replace("\n4_1,", "\nnœud-é,")
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _census_the_old_way(option, value, table, fmt):
+    """Every row dict first, then one json.dumps of all rows or the CSV lines."""
+    if option == "--genus":
+        entries = enumeration.genus_census(value)
+    else:
+        entries = [e for n in range(value + 1) for e in enumeration.enumerate_minimal(n, cap=value)]
+    rows = [
+        {
+            "length": e.length,
+            "word": render_word(e.word),
+            "kind": e.kind,
+            "components": e.components,
+            "chi": e.chi,
+            "polynomial": render_poly(e.polynomial),
+            "name": table.match(e.polynomial) or "",
+        }
+        for e in entries
+    ]
+    if fmt == "structured":
+        return json.dumps(rows, sort_keys=True) + "\n"
+    lines = ["length,word,kind,components,chi,polynomial,name"] + [
+        f"{r['length']},\"{r['word']}\",{r['kind']},{r['components']},"
+        f"{r['chi']},\"{r['polynomial']}\",{r['name']}"
+        for r in rows
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize(
+    "option, value",
+    [("--max-bands", n) for n in range(8)] + [("--genus", g) for g in range(3)],
+)
+def test_census_output_equals_one_dump_of_all_rows(capsys, escaped_table, option, value, fmt):
+    code, out, err = run_cli(
+        capsys, "--format", fmt, "enumerate", option, str(value), "--table", escaped_table
+    )
+    assert (code, err) == (0, "")
+    assert out == _census_the_old_way(option, value, load_table(escaped_table), fmt)
+    # trefoil and figure-eight are the genus-1 knots, of 4 bands
+    if fmt == "structured" and value == (4 if option == "--max-bands" else 1):
+        assert '"tre\\"foil"' in out and '"n\\u0153ud-\\u00e9"' in out
+
+
+class _CountingSink:
+    """A stdout that discards its text and keeps the length of the longest write."""
+
+    def __init__(self):
+        self.longest = self.total = 0
+
+    def write(self, text):
+        self.longest = max(self.longest, len(text))
+        self.total += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_census_rows_are_written_one_at_a_time():
+    sink = _CountingSink()
+    with contextlib.redirect_stdout(sink):
+        code = run(["--format", "structured", "enumerate", "--max-bands", "9"])
+    assert code == 0
+    # 893,170 characters in all, which one json.dumps of every row would write in one call
+    assert sink.total == 893_170
+    assert sink.longest <= 4096
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_engine_failure_part_way_leaves_stdout_empty(capsys, monkeypatch, fmt):
+    # lengths 0..4 succeed; the census fails at length 5, before any row is written
+    homfly_many = enumeration.homfly_many
+
+    def failing_at_five(words):
+        if words and len(words[0]) == 5:
+            raise ConsistencyError("injected failure at length 5")
+        return homfly_many(words)
+
+    monkeypatch.setattr(enumeration, "homfly_many", failing_at_five)
+    code, out, err = run_cli(capsys, "--format", fmt, "enumerate", "--max-bands", "7")
+    assert (code, out) == (2, "")
+    assert err == "internal error: injected failure at length 5\n"
+
+
+def test_check_poly_prints_the_empty_witness(capsys):
+    # the 3-component unlink closes the empty word, whose witness is []
+    unlink = "1*v^-2*z^-2 + -2*v^0*z^-2 + 1*v^2*z^-2"
+    code, out, _ = run_cli(capsys, "check-poly", "--poly", unlink)
+    assert (code, out) == (0, "realizable\nwitness: []\n")
+    code, out, _ = run_cli(capsys, "--format", "structured", "check-poly", "--poly", unlink)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["realizable"] is True and payload["witness"] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--max-bands", "2", "--table", ""],
+        ["check-poly", "--poly", "1*v^0*z^0", "--table", ""],
+        ["make-table", "-o", ""],
+    ],
+    ids=["enumerate-table", "check-poly-table", "make-table-output"],
+)
+def test_empty_file_path_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "''" in err
+
+
 def test_check_poly_realizable(capsys):
     code, out, _ = run_cli(capsys, "check-poly", "--poly", "1*v^0*z^0")
     assert code == 0
@@ -214,7 +337,7 @@ def test_broken_law_exits_two(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "invariants", "[1 1 1 2]")
     assert code == 2
     assert out == ""
-    assert err.startswith("internal error:") and "(1, 1, 1, 2)" in err
+    assert err.startswith("internal error:") and err.endswith(" for [1 1 1 2]\n")
 
 
 def test_corrupted_trace_exits_two(capsys, monkeypatch):

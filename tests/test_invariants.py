@@ -19,6 +19,7 @@ from braid3.invariants import (
     report,
 )
 from braid3.laurent import LaurentPoly2, delta_unlink_factor, parse_poly
+from braid3.words import render_word
 from conftest import words_st
 
 
@@ -92,7 +93,7 @@ class TestCheckLaws:
         with pytest.raises(ConsistencyError) as info:
             check_laws(p, -1, self.WORD)
         assert law in str(info.value)
-        assert str(self.WORD) in str(info.value)
+        assert str(info.value).endswith(f" for {render_word(self.WORD)}")
 
 
 class TestBounds:
