@@ -98,16 +98,33 @@ def _kind(word: Sequence[int]) -> str:
     return xu.TYPE_A_NEGATIVE if max(word) < 0 else xu.TYPE_B
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CensusEntry:
-    """One symmetry orbit of minimal words."""
+    """One symmetry orbit of minimal words: its key and its polynomial.
+
+    The other columns are properties read from the key: ``kind`` from its
+    letter signs, ``length``, ``components`` from its permutation, and
+    ``chi = 3 - length``.
+    """
 
     word: Word  # canonical orbit representative
-    kind: str
-    length: int
-    components: int
-    chi: int
     polynomial: LaurentPoly2
+
+    @property
+    def kind(self) -> str:
+        return _kind(self.word)
+
+    @property
+    def length(self) -> int:
+        return len(self.word)
+
+    @property
+    def components(self) -> int:
+        return closure_components(self.word)
+
+    @property
+    def chi(self) -> int:
+        return 3 - len(self.word)
 
 
 def poly_class_key(p: LaurentPoly2) -> tuple:
@@ -126,17 +143,7 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
     # Sorted keys share long prefixes, whose Burau products homfly_many
     # computes only once.
     keys = sorted(constructive_orbits(length))
-    return [
-        CensusEntry(
-            word=key,
-            kind=_kind(key),
-            length=length,
-            components=closure_components(key),
-            chi=3 - length,
-            polynomial=poly,
-        )
-        for key, poly in zip(keys, homfly_many(keys))
-    ]
+    return [CensusEntry(key, poly) for key, poly in zip(keys, homfly_many(keys))]
 
 
 def brute_force_orbits(length: int) -> set[Word]:

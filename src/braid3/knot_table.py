@@ -2,7 +2,8 @@
 
 A table is a CSV file with records ``name,components,polynomial`` in the
 shared polynomial grammar, ``#`` comment lines, and an optional convention
-header as its first directive line:
+header as its first directive line (a later one is rejected, since it would
+switch the convention for the records after it):
 
     #convention: morton     (default; the convention used throughout)
     #convention: az         (skein  a P(L+) - a^{-1} P(L-) = z P(L0);
@@ -69,7 +70,7 @@ def load_table(path: str) -> KnotTable:
 
 
 def parse_table(lines: Iterable[str]) -> KnotTable:
-    convention = "morton"
+    convention = None
     entries: list[tuple[str, LaurentPoly2, int]] = []
     names: set[str] = set()
     for lineno, raw in enumerate(lines, start=1):
@@ -79,6 +80,8 @@ def parse_table(lines: Iterable[str]) -> KnotTable:
         if line.startswith("#"):
             directive = line[1:].strip()
             if directive.lower().startswith("convention:"):
+                if convention is not None or entries:
+                    raise TableFormatError("convention header after a record or another header", lineno)
                 convention = directive.split(":", 1)[1].strip().lower()
                 if convention not in _CONVENTIONS:
                     raise TableFormatError(f"unknown convention {convention!r}", lineno)
@@ -98,7 +101,7 @@ def parse_table(lines: Iterable[str]) -> KnotTable:
         if components < 1:
             raise TableFormatError(f"bad component count {components}", lineno)
         try:
-            poly = _apply_convention(parse_poly(parts[2]), convention)
+            poly = _apply_convention(parse_poly(parts[2]), convention or "morton")
         except ValueError as exc:
             raise TableFormatError(f"bad polynomial: {exc}", lineno) from None
         if poly.is_zero:

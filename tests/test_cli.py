@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +83,22 @@ def test_torus_and_pretzel(capsys):
     code, out, _ = run_cli(capsys, "pretzel", "1,2")
     assert code == 0
     assert out.strip() == trefoil
+
+
+def test_module_runs_the_cli(capsys):
+    # python -m braid3.cli is the CLI, not an import that exits 0 silently
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "braid3.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    done = module("torus", "3")
+    assert (done.returncode, done.stdout) == (0, run_cli(capsys, "torus", "3")[1])
+    done = module("torus", "x")
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
 
 
 def test_long_torus_and_pretzel_exit_zero(capsys):

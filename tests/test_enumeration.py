@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from braid3.enumeration import (
     REASON_MWF,
     REASON_PARITY,
     REASON_SEARCH,
+    CensusEntry,
     brute_force_orbits,
     braid_index_check_pretzel,
     canonical_key,
@@ -158,6 +160,12 @@ class TestGeneration:
                 assert e.kind == reduce(e.word).kind, e.word
                 assert e.components == cycle_count(permutation(e.word)), e.word
                 assert (e.length, e.chi) == (n, 3 - n)
+
+    def test_census_row_stores_only_key_and_polynomial(self):
+        # the other columns are properties read from the key
+        entry = enumerate_minimal(4)[0]
+        assert [f.name for f in dataclasses.fields(CensusEntry)] == ["word", "polynomial"]
+        assert not hasattr(entry, "__dict__")
 
     def test_repeated_type_b_orbit_is_a_consistency_error(self, monkeypatch, capsys):
         # [-1 2] and [-1 3] are the two type-B words of length 2, in

@@ -89,6 +89,22 @@ def test_byte_order_mark_before_first_record(tmp_path):
     assert load_table(str(path)).names() == ["unknot"]
 
 
+def test_comments_and_blank_lines_before_convention_header():
+    table = parse_table(["# az table", "", "#convention: az", "3_1,1,2*v^-2*z^0 + -1*v^-4*z^0 + 1*v^-2*z^2"])
+    assert table.get("3_1") == homfly((1, 1, 1, 2))
+
+
+def test_convention_after_record_rejected():
+    # it would silently load the records after it in another convention
+    with pytest.raises(TableFormatError, match=r"convention header.*\(line 2\)"):
+        parse_table(["3_1,1,2*v^2*z^0 + -1*v^4*z^0 + 1*v^2*z^2", "#convention: az", "k,1,1"])
+
+
+def test_second_convention_header_rejected():
+    with pytest.raises(TableFormatError, match=r"convention header.*\(line 3\)"):
+        parse_table(["#convention: morton", "# comment", "#convention: az", "k,1,1"])
+
+
 def test_unknown_convention_rejected():
     with pytest.raises(TableFormatError):
         parse_table(["#convention: kauffman", "k,1,1"])
