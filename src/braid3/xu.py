@@ -9,14 +9,14 @@ the band generators of one of two shapes, writing delta = [2 1]:
 where L and R are positive words with cyclically non-decreasing subscripts
 (each s_i is followed by s_i or s_{i+1}) and a type B form is cyclically
 reduced: L and R start with different letters and end with different
-letters.  The reduction runs three steps to a fixed point:
+letters.  The reduction runs three steps, (ii) and (iii) in one pass each:
 
   (i)   sort inverse letters to the left with s_i s_j^{-1} = s_{i+1}^{-1} s_{j+1},
         cancelling free pairs as they appear;
   (ii)  extract descents: a factor s_{i+1} s_i equals delta, which commutes
         past s_j as s_j delta = delta s_{j+1}, so it migrates to the front;
-  (iii) cancel across the middle with delta^{-1} s_{i+1} = s_i^{-1} and
-        s_i^{-1} delta = s_{i-1}, plus free and cyclic end reductions.
+  (iii) cancel across the middle with s_i^{-1} delta = s_{i-1}, one pair checked
+        per slid letter, plus free and cyclic end reductions.
 
 Cyclic end reduction conjugates the word, which is harmless for the closed
 braid but can genuinely shorten below what the exact group element admits;
@@ -52,6 +52,7 @@ QP_POSITIVE = "positive"
 QP_MIRROR = "mirror-positive"
 QP_NO = "no"
 
+_LETTERS = frozenset((1, 2, 3, -1, -2, -3))
 _QUASIPOSITIVE = {TYPE_A_POSITIVE: QP_POSITIVE, TYPE_A_NEGATIVE: QP_MIRROR, TYPE_B: QP_NO}
 
 
@@ -138,31 +139,28 @@ def push_negatives_left(word: Sequence[int]) -> Word:
 def extract_descents(word: Sequence[int]) -> tuple[int, Word]:
     """Step (ii): write a positive word as delta^k times a non-decreasing word.
 
-    The leftmost descent pair s_{i+1} s_i is removed first; the letters in
-    front of it pick up the index shift from commuting delta to the front.
+    One pass keeps a stack without descents, each letter stored less the
+    delta count at its push; a letter forming a descent with the top pops it.
+    The form is unique (Birman-Ko-Lee), so the order of extraction is free.
     """
-    if any(l < 0 for l in word):
+    if not {1, 2, 3}.issuperset(word):
         raise ValueError("descent extraction expects a positive word")
-    letters = list(word)
+    kept: list[int] = []
     k = 0
-    i = 0
-    while i < len(letters) - 1:
-        if letters[i + 1] == shift_letter(letters[i], -1):
-            prefix = [shift_letter(l, 1) for l in letters[:i]]
-            letters = prefix + letters[i + 2 :]
+    for l in word:
+        if kept and l == normalize_index(kept[-1] + k - 1):
+            kept.pop()
             k += 1
-            i = 0
         else:
-            i += 1
-    return k, tuple(letters)
+            kept.append(l - k)
+    return k, tuple(normalize_index(x + k) for x in kept)
 
 
 def cancel_factors(L: Sequence[int], k: int, R: Sequence[int]) -> XuNormalForm:
     """Step (iii): eliminate one factor of L^{-1} delta^k R and classify.
 
-    Accepts any positive L and R (descents are re-extracted as needed) and
-    a delta power of either sign.  Cyclic end reductions are recorded in the
-    returned conjugator.
+    Accepts any positive L and R and a delta power of either sign.  Cyclic
+    end reductions are recorded in the returned conjugator.
     """
     kl, Lw = extract_descents(tuple(L))
     kr, Rw = extract_descents(tuple(R))
@@ -179,13 +177,14 @@ def cancel_factors(L: Sequence[int], k: int, R: Sequence[int]) -> XuNormalForm:
         if k > 0 and L_list:
             # The letter next to the delta block inverts L's first letter:
             # L^{-1} ends with s_i^{-1} for i = L[0], and s_i^{-1} delta = s_{i-1}
-            # slides right past the remaining deltas, gaining one subscript each.
-            i = L_list.pop(0)
-            k -= 1
-            R_list.insert(0, normalize_index(i - 1 + k))
-            dk, R_new = extract_descents(tuple(R_list))
-            k += dk
-            R_list = list(R_new)
+            # slides right past the remaining deltas, gaining one subscript each;
+            # R is non-decreasing, so it can form a descent only with R[0].
+            x = normalize_index(L_list.pop(0) - 2 + k)
+            if R_list and R_list[0] == normalize_index(x - 1):
+                R_list.pop(0)
+            else:
+                R_list.insert(0, x)
+                k -= 1
             continue
         if k == 0 and L_list and R_list:
             if L_list[0] == R_list[0]:  # free reduction at the seam
@@ -216,6 +215,9 @@ def cancel_factors(L: Sequence[int], k: int, R: Sequence[int]) -> XuNormalForm:
 
 def reduce(word: Sequence[int]) -> XuNormalForm:
     """Full reduction of a word to its Xu normal form."""
+    if not _LETTERS.issuperset(word):
+        bad = next(l for l in word if l not in _LETTERS)
+        raise ValueError(f"letter {bad} is not a band letter (±1, ±2 or ±3)")
     sorted_word = push_negatives_left(word)
     split = next((i for i, l in enumerate(sorted_word) if l > 0), len(sorted_word))
     neg, pos = sorted_word[:split], sorted_word[split:]

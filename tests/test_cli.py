@@ -342,6 +342,14 @@ def test_check_poly_reads_a_table_saved_with_a_byte_order_mark(capsys, tmp_path)
     assert "matched name: unknot" in out
 
 
+def test_make_table_writes_the_table_format_in_either_format(capsys):
+    # make-table writes the file that --table reads, not a JSON record
+    text = run_cli(capsys, "make-table")
+    structured = run_cli(capsys, "--format", "structured", "make-table")
+    assert text == structured
+    assert text[0] == 0 and text[1].startswith("#convention: morton")
+
+
 def test_make_table_round_trip(capsys, tmp_path):
     path = tmp_path / "t.csv"
     code, _, _ = run_cli(capsys, "make-table", "-o", str(path))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braid3.invariants import report
 from braid3.words import concat, cyclic_rotate, inverse, mirror, words_equal
 from braid3.xu import (
     TYPE_A_NEGATIVE,
@@ -20,6 +21,7 @@ from braid3.xu import (
     reduce,
 )
 from conftest import LETTERS, random_word, words_st
+import xu_oracle
 
 
 def quasipositive_oracle(w) -> str:
@@ -128,6 +130,15 @@ class TestInverseSymmetry:
 
 
 class TestReduce:
+    @pytest.mark.parametrize("w", [(4,), (0,), (1, -4)])
+    @pytest.mark.parametrize(
+        "f", [reduce, genus, euler_characteristic, is_strongly_quasipositive, report]
+    )
+    def test_rejects_letters_outside_the_bands(self, f, w):
+        bad = next(l for l in w if abs(l) not in (1, 2, 3))
+        with pytest.raises(ValueError, match=f"letter {bad} "):
+            f(w)
+
     def test_free_pair(self):
         nf = reduce((1, -1))
         assert nf.kind == TYPE_A_POSITIVE
@@ -264,3 +275,49 @@ class TestDerivedInvariants:
         assert (nf.kind == TYPE_B) == (mf.kind == TYPE_B)
         if nf.minimal_length > 0:
             assert (nf.kind == TYPE_A_POSITIVE) == (mf.kind == TYPE_A_NEGATIVE)
+
+
+class TestRestartOracle:
+    """Steps (ii) and (iii) against the restart scans kept in ``tests/xu_oracle.py``."""
+
+    def test_every_word_up_to_six_letters(self):
+        # the oracle's answer depends only on the shared step (i), so it is
+        # computed once per sorted word; every word still gets its own reduce
+        expected = {}
+        for n in range(7):
+            for w in itertools.product(LETTERS, repeat=n):
+                sorted_word = push_negatives_left(w)
+                if sorted_word not in expected:
+                    expected[sorted_word] = xu_oracle.reduce(sorted_word)
+                assert reduce(w) == expected[sorted_word], w
+
+    def test_extract_descents_on_every_positive_word_up_to_ten_letters(self):
+        # both commute with the subscript shift, so the oracle runs on the
+        # words that start with 1 and its answers are shifted for the rest
+        starts = [(1,) + w for w in positive_words(9)]
+        expected = list(map(xu_oracle.extract_descents, starts))
+        shift = {1: 2, 2: 3, 3: 1}.__getitem__
+        assert extract_descents(()) == xu_oracle.extract_descents(()) == (0, ())
+        for _ in range(3):
+            assert list(map(extract_descents, starts)) == expected
+            starts = [tuple(map(shift, w)) for w in starts]
+            expected = [(k, tuple(map(shift, rest))) for k, rest in expected]
+
+    def test_seeded_factors(self):
+        rng = random.Random(1998)
+        for _ in range(1000):
+            L = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 12)))
+            R = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 12)))
+            k = rng.randint(-8, 8)
+            assert cancel_factors(L, k, R) == xu_oracle.cancel_factors(L, k, R), (L, k, R)
+
+    def test_worst_cases_of_the_restart_scans(self):
+        # one restart per descent in step (ii), one re-extraction of R per
+        # slid letter in step (iii); the second ends in a cyclic reduction
+        descents = (1, 2, 3) * 500 + (2,) * 500
+        slid = (-1,) * 1000 + (2, 1) * 500
+        assert reduce(descents) == xu_oracle.reduce(descents)
+        nf = reduce(slid)
+        assert nf == xu_oracle.reduce(slid)
+        assert nf.kind == TYPE_B and nf.conjugator
+        assert certify(slid, nf)
