@@ -85,36 +85,39 @@ def _emit(args, payload: dict, lines: list[str] | None = None) -> None:
 
 
 _CSV_HEADER = "length,word,kind,components,chi,polynomial,name\n"
-_CSV_ROW = '{length},"{word}",{kind},{components},{chi},"{polynomial}",{name}\n'
 
 
 def _write_census(entries, table, structured: bool) -> None:
     """Write census rows one at a time: CSV lines, or one JSON array framed as
-    the encoder frames a list (``[``, rows joined by ``, ``, ``]``)."""
+    the encoder frames a list (``[``, rows joined by ``, ``, ``]``).
+
+    A row is a fixed template, its JSON fields in ``sort_keys`` order.  The
+    polynomial and its table name are rendered, named and encoded once per
+    distinct polynomial; kinds and rendered words need no JSON escapes.
+    """
     out = sys.stdout
     out.write("[" if structured else _CSV_HEADER)
-    # by id: homfly_many shares one object per distinct polynomial, rendered and named once
-    cells: dict[int, tuple[str, str]] = {}
+    # by id: homfly_many shares one object per distinct polynomial
+    cells: dict[int, str] = {}
     separator = ""
     for e in entries:
         cell = cells.get(id(e.polynomial))
         if cell is None:
-            name = table.match(e.polynomial) if table is not None else None
-            cell = cells[id(e.polynomial)] = (render_poly(e.polynomial), name or "")
-        row = {
-            "length": e.length,
-            "word": render_word(e.word),
-            "kind": e.kind,
-            "components": e.components,
-            "chi": e.chi,
-            "polynomial": cell[0],
-            "name": cell[1],
-        }
+            text = render_poly(e.polynomial)
+            name = (table.match(e.polynomial) if table is not None else None) or ""
+            if structured:
+                cell = f'"name": {_ENCODER.encode(name)}, "polynomial": {_ENCODER.encode(text)}'
+            else:
+                cell = f'"{text}",{name}'
+            cells[id(e.polynomial)] = cell
         if structured:
-            out.write(separator + _ENCODER.encode(row))
+            out.write(
+                f'{separator}{{"chi": {e.chi}, "components": {e.components}, "kind": "{e.kind}", '
+                f'"length": {e.length}, {cell}, "word": "{render_word(e.word)}"}}'
+            )
             separator = ", "
         else:
-            out.write(_CSV_ROW.format_map(row))
+            out.write(f'{e.length},"{render_word(e.word)}",{e.kind},{e.components},{e.chi},{cell}\n')
     if structured:
         out.write("]\n")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from . import xu
@@ -24,7 +25,15 @@ from .errors import CapExceededError, ConsistencyError
 from .hecke import homfly_many, pretzel_homfly
 from .invariants import OTHER, classify_leading_coefficient, mwf_lower_bound
 from .laurent import LaurentPoly2, mirror_image
-from .words import DELTA, Word, closure_components, inverse, render_word, shift_letter
+from .words import (
+    DELTA,
+    Word,
+    closure_components,
+    exponent_sum,
+    inverse,
+    render_word,
+    shift_letter,
+)
 
 DEFAULT_MAX_BANDS = 14
 
@@ -71,24 +80,40 @@ def nondecreasing_words(length: int, firsts: Sequence[int] = (1, 2, 3)) -> Itera
 
 
 def generate_normal_forms(length: int) -> Iterator[Word]:
-    """All normal-form words of the given length."""
+    """All normal-form words of the given length, each inverse pair as two consecutive words.
+
+    The second word of a pair is a normal form of the first one's inverse:
+    ``R^-1 delta^-k`` for ``delta^k R``, and ``R^-1 L`` shifted so that its
+    left factor starts at 1 for ``L^-1 R``.  The empty word is its own
+    inverse and comes alone.
+    """
     if length < 0:
         raise ValueError("length must be non-negative")
     for k in range(length // 2 + 1):
-        rest = length - 2 * k
-        for r in nondecreasing_words(rest):
+        # R's first letter picks its subscript shift; with no delta factor the
+        # three shifts are one orbit, so only R[0] == 1 is made
+        for r in nondecreasing_words(length - 2 * k, (1,) if k == 0 else (1, 2, 3)):
             word = DELTA * k + r
             yield word
             if length > 0:
-                # inverse(delta^k R) = R^{-1} delta^{-k}, the type A- form
                 yield inverse(word)
-    # The type-B conditions are shift-invariant, so L[0] == 1 leaves one word per
-    # orbit; type A keeps every shift ([2 1 3] has no partner with R[0] == 1).
-    for left_len in range(1, length):
+    # The type-B conditions are shift-invariant, so L[0] == 1 leaves one word
+    # per orbit.  The inverse of L^-1 R has its factors swapped, so a pair
+    # is made once: from the shorter left factor, or at equal lengths from
+    # the lesser word.
+    for left_len in range(1, length // 2 + 1):
+        right_len = length - left_len
         for left in nondecreasing_words(left_len, firsts=(1,)):
-            for right in nondecreasing_words(length - left_len):
-                if left[0] != right[0] and left[-1] != right[-1]:
-                    yield inverse(left) + right
+            head = inverse(left)
+            # R[0] != L[0] == 1
+            for right in nondecreasing_words(right_len, firsts=(2, 3)):
+                if left[-1] != right[-1]:
+                    word = head + right
+                    shift = _SHIFT_TABLES[(1 - right[0]) % 3].__getitem__
+                    mate = tuple(map(shift, inverse(right) + left))
+                    if left_len < right_len or word < mate:
+                        yield word
+                        yield mate
 
 
 def _kind(word: Sequence[int]) -> str:
@@ -135,15 +160,39 @@ def poly_class_key(p: LaurentPoly2) -> tuple:
 
 
 def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:
-    """All minimal-word orbits of exactly the given length, sorted by key."""
+    """All minimal-word orbits of exactly the given length, sorted by key.
+
+    The closure of a word's inverse is its mirror image with every
+    orientation reversed, which leaves the skein polynomial unchanged, so
+    only the lesser key of each inverse pair is evaluated; the other gets
+    the mirror image of its polynomial.
+    """
     if length > cap:
         raise CapExceededError(
             f"length {length} exceeds the enumeration cap {cap}; raise --max-bands"
         )
+    partners = inverse_partners(length)
     # Sorted keys share long prefixes, whose Burau products homfly_many
     # computes only once.
-    keys = sorted(constructive_orbits(length))
-    return [CensusEntry(key, poly) for key, poly in zip(keys, homfly_many(keys))]
+    lesser = sorted(key for key, partner in partners.items() if key <= partner)
+    greater = [partners[key] for key in lesser]
+    del partners  # a length's largest temporary: free it before the rows are made
+    rows = [CensusEntry(key, poly) for key, poly in zip(lesser, homfly_many(lesser))]
+    # homfly_many returns one object per distinct polynomial; mirror images
+    # join them by value, and are found by the id of their source
+    distinct = {id(e.polynomial): e.polynomial for e in rows}
+    merged = {p: p for p in distinct.values()}
+    mirrors = {}
+    for i, p in distinct.items():
+        m = mirror_image(p)
+        mirrors[i] = merged.setdefault(m, m)
+    rows += [
+        CensusEntry(key, mirrors[id(e.polynomial)])
+        for key, e in zip(greater, rows)
+        if key != e.word
+    ]
+    rows.sort(key=attrgetter("word"))
+    return rows
 
 
 def brute_force_orbits(length: int) -> set[Word]:
@@ -160,15 +209,46 @@ def brute_force_orbits(length: int) -> set[Word]:
     return out
 
 
+def inverse_partners(length: int) -> dict[Word, Word]:
+    """Each orbit key of the given length, mapped to the key of its inverse orbit.
+
+    Type-B words come one per orbit, so a repeated type-B key is a bug, and
+    so is a pair whose keys differ in length or lack opposite exponent sums
+    (the kind follows from both: A+ at e = n, A- at e = -n, B between, so
+    this also checks that A+ and A- swap and B stays B), and an orbit
+    paired with two different orbits.
+    """
+    partners: dict[Word, Word] = {}
+    words = generate_normal_forms(length)
+    for word in words:
+        # the empty word is its own inverse and comes alone
+        mate = next(words) if word else word
+        key, mate_key = canonical_key(word), canonical_key(mate)
+        if len(mate_key) != len(key) or exponent_sum(mate_key) != -exponent_sum(key):
+            raise ConsistencyError(
+                f"{render_word(mate)} is not in the inverse orbit of {render_word(word)}"
+            )
+        if key not in partners and mate_key not in partners and key != mate_key:
+            partners[key] = mate_key
+            partners[mate_key] = key
+            continue
+        # a type-A orbit met again in another shift, the empty word, or a bug
+        for w, k, partner in ((word, key, mate_key), (mate, mate_key, key)):
+            old = partners.get(k)
+            if old is None:
+                partners[k] = partner
+            elif _kind(w) == xu.TYPE_B:
+                raise ConsistencyError(f"type-B word {render_word(w)} repeats orbit {render_word(k)}")
+            elif old != partner:
+                raise ConsistencyError(
+                    f"orbit {render_word(k)} has inverse orbits {render_word(old)} and {render_word(partner)}"
+                )
+    return partners
+
+
 def constructive_orbits(length: int) -> set[Word]:
-    """The census's orbit set; type-B words come one per orbit, so a repeat is a bug."""
-    keys: set[Word] = set()
-    for word in generate_normal_forms(length):
-        key = canonical_key(word)
-        if key in keys and _kind(word) == xu.TYPE_B:
-            raise ConsistencyError(f"type-B word {render_word(word)} repeats orbit {render_word(key)}")
-        keys.add(key)
-    return keys
+    """The census's orbit set."""
+    return set(inverse_partners(length))
 
 
 def genus_census(g: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:

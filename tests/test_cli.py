@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -195,11 +196,12 @@ def test_census_rows_equal_a_per_row_recomputation(capsys, tmp_path, argv):
 
 @pytest.fixture
 def escaped_table(capsys, tmp_path):
-    """A make-table table whose 3_1 and 4_1 names need JSON escaping."""
+    """A make-table table whose 3_1, 4_1 and 5_1 names need JSON escaping."""
     path = tmp_path / "escaped.csv"
     assert run_cli(capsys, "make-table", "-o", str(path))[0] == 0
     text = path.read_text(encoding="utf-8")
     text = text.replace("\n3_1,", '\ntre"foil,').replace("\n4_1,", "\nnœud-é,")
+    text = text.replace("\n5_1,", '\n"cinq\\é",')
     path.write_text(text, encoding="utf-8")
     return str(path)
 
@@ -235,7 +237,7 @@ def _census_the_old_way(option, value, table, fmt):
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 @pytest.mark.parametrize(
     "option, value",
-    [("--max-bands", n) for n in range(8)] + [("--genus", g) for g in range(3)],
+    [("--max-bands", n) for n in (*range(8), 9)] + [("--genus", g) for g in range(3)],
 )
 def test_census_output_equals_one_dump_of_all_rows(capsys, escaped_table, option, value, fmt):
     code, out, err = run_cli(
@@ -246,6 +248,25 @@ def test_census_output_equals_one_dump_of_all_rows(capsys, escaped_table, option
     # trefoil and figure-eight are the genus-1 knots, of 4 bands
     if fmt == "structured" and value == (4 if option == "--max-bands" else 1):
         assert '"tre\\"foil"' in out and '"n\\u0153ud-\\u00e9"' in out
+    # the (2,5) torus knot has genus 2, at 6 bands
+    if fmt == "structured" and value == (9 if option == "--max-bands" else 2):
+        assert '"\\"cinq\\\\\\u00e9\\""' in out
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "438d9046fb712387a74c9a05c944a93cfb7ed4fd460839dc05de2cf3a15498b5"),
+        ("structured", "e2e0b3e915a29d1ac06956f7dc6636e481a87b7a3ee6f1496b9f8124b5a7b1a4"),
+    ],
+    ids=["text", "structured"],
+)
+def test_ten_band_census_output_is_pinned(capsys, fmt, digest):
+    # taken when homfly_many evaluated every orbit; evaluating one orbit per
+    # inverse pair and mirroring the other must not change a byte
+    code, out, _ = run_cli(capsys, "--format", fmt, "enumerate", "--max-bands", "10")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class _CountingSink:

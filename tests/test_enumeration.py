@@ -24,13 +24,14 @@ from braid3.enumeration import (
     enumerate_minimal,
     generate_normal_forms,
     genus_census,
+    inverse_partners,
     nondecreasing_words,
     realizable_3braid,
 )
 from braid3.errors import CapExceededError, ConsistencyError
 from braid3.hecke import homfly
 from braid3.knot_table import make_table
-from braid3.laurent import parse_poly
+from braid3.laurent import mirror_image, parse_poly
 from braid3.words import DELTA, DELTA_INV, cyclic_rotate, inverse, permutation, shift_indices
 from braid3.xu import reduce
 from conftest import random_word, words_st
@@ -143,7 +144,7 @@ class TestGeneration:
     def test_one_type_b_word_per_orbit_against_all_shifts(self):
         # the same orbits (so the same census rows, whose kind is read from
         # the key) as the all-shifts generator, with three times fewer type-B words
-        for n in range(0, 12):
+        for n in range(0, 13):
             old = list(all_shift_normal_forms(n))
             new = list(generate_normal_forms(n))
             assert constructive_orbits(n) == {canonical_key(w) for _, w in old}, n
@@ -182,6 +183,75 @@ class TestGeneration:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("internal error: type-B word [-1 3]")
+
+
+class TestInversePairs:
+    def test_second_word_of_each_pair_is_in_the_inverse_orbit(self):
+        for n in range(0, 12):
+            words = list(generate_normal_forms(n))
+            if n == 0:
+                assert words == [()]
+                continue
+            assert len(words) % 2 == 0, n
+            for first, second in zip(words[::2], words[1::2]):
+                assert canonical_key(second) == canonical_key(inverse(first)), (first, second)
+
+    def test_word_and_orbit_counts_up_to_eleven_bands(self):
+        # type A keeps R[0] == 1 when k == 0: 8,167 type-A words instead of
+        # 16,355 with every shift; type B stays one word per orbit
+        words = [w for n in range(0, 12) for w in generate_normal_forms(n)]
+        type_b = sum(enumeration._kind(w) == xu.TYPE_B for w in words)
+        assert (len(words), len(words) - type_b, type_b) == (20_457, 8_167, 12_290)
+        assert sum(len(constructive_orbits(n)) for n in range(0, 12)) == 15_993
+
+    def test_partners_are_an_involution_onto_the_inverse_orbit(self):
+        # 7,997 of the 15,993 orbits of 0-11 bands are evaluated: the lesser
+        # key of each pair, and the empty word, its own inverse
+        evaluated = 0
+        for n in range(0, 12):
+            partners = inverse_partners(n)
+            for key, partner in partners.items():
+                assert partners[partner] == key
+                assert partner == canonical_key(inverse(key))
+                assert (partner == key) == (key == ())
+            evaluated += sum(key <= partner for key, partner in partners.items())
+        assert evaluated == 7_997
+
+    def test_inverse_closure_has_the_mirror_polynomial(self):
+        # the identity the census relies on, checked without it
+        for n in range(0, 10):
+            for key in constructive_orbits(n):
+                assert homfly(inverse(key)) == mirror_image(homfly(key)), key
+
+    def test_rows_equal_a_per_key_evaluation(self):
+        for n in range(0, 12):
+            rows = enumerate_minimal(n)
+            assert [e.word for e in rows] == sorted(constructive_orbits(n)), n
+            for e in rows:
+                assert e.polynomial == homfly(e.word), e.word
+            # one object per distinct polynomial, mirrors included
+            assert len({id(e.polynomial) for e in rows}) == len({e.polynomial for e in rows}), n
+
+    def test_pair_with_unswapped_signs_is_a_consistency_error(self, monkeypatch, capsys):
+        # [1] and [-1] are the one pair of length 1; a key that sends [-1]
+        # to [1] gives both halves the exponent sum +1
+        key = canonical_key
+        monkeypatch.setattr(enumeration, "canonical_key", lambda w: (1,) if w == (-1,) else key(w))
+        with pytest.raises(ConsistencyError, match=r"\[-1\] is not in the inverse orbit of \[1\]"):
+            enumerate_minimal(1)
+        assert run(["enumerate", "--max-bands", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: [-1] is not in the inverse orbit of [1]")
+
+    def test_orbit_with_two_inverse_orbits_is_a_consistency_error(self, monkeypatch):
+        # [-1 -1] and [-1 -2] are the inverses of [1 1] and delta = [2 1];
+        # a key that merges them leaves one orbit two inverses
+        key = canonical_key
+        merged = key((-1, -2))
+        monkeypatch.setattr(enumeration, "canonical_key", lambda w: merged if w == (-1, -1) else key(w))
+        with pytest.raises(ConsistencyError, match="has inverse orbits"):
+            enumerate_minimal(2)
 
 
 class TestSweep:
