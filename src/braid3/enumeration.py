@@ -1,4 +1,4 @@
-"""Exhaustive generation of minimal band words and the derived censuses.
+"""Exhaustive generation of minimal band words, the orbit census and realizability.
 
 Minimal words are generated constructively in their normal-form shapes
 (never by filtering all words): positive delta^k R, negative L^{-1} delta^{-k},
@@ -6,11 +6,12 @@ and mixed L^{-1} R with both sides nonempty, non-decreasing and cyclically
 reduced.  Words are identified up to the closure symmetries that preserve
 every computed invariant: cyclic rotation and the subscript shift
 (conjugation by delta).  Mirrors are kept distinct because chirality
-matters for quasipositivity; census grouping identifies a polynomial with
-its mirror image instead.
+matters for quasipositivity.  The census's orbit set is the key set of
+``inverse_partners``.
 
-A brute-force path over all 6^n words doubles as a completeness oracle for
-small n and is exercised by the acceptance suite.
+The slow paths live in the test suite: ``tests/census_oracle.py`` holds the
+brute-force orbit set over all 6^n words, a completeness oracle for small n,
+and the grouping of census entries by polynomial up to mirror image.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from typing import Iterator, Sequence
 
 from . import xu
 from .errors import CapExceededError, ConsistencyError
-from .hecke import homfly_many, pretzel_homfly
+from .hecke import homfly_many
 from .invariants import OTHER, classify_leading_coefficient, mwf_lower_bound
 from .laurent import LaurentPoly2, mirror_image
+from .limits import MAX_BANDS_CEILING
 from .words import (
     DELTA,
     Word,
@@ -152,13 +154,6 @@ class CensusEntry:
         return 3 - len(self.word)
 
 
-def poly_class_key(p: LaurentPoly2) -> tuple:
-    """A grouping key identifying a polynomial with its mirror image."""
-    a = tuple(sorted(p.terms_dict().items()))
-    b = tuple(sorted(mirror_image(p).terms_dict().items()))
-    return min(a, b)
-
-
 def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:
     """All minimal-word orbits of exactly the given length, sorted by key.
 
@@ -168,9 +163,13 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
     the mirror image of its polynomial.
     """
     if length > cap:
-        raise CapExceededError(
-            f"length {length} exceeds the enumeration cap {cap}; raise --max-bands"
+        # past the ceiling no --max-bands reaches the length
+        advice = (
+            "; raise --max-bands"
+            if length <= MAX_BANDS_CEILING
+            else f" and the ceiling {MAX_BANDS_CEILING} of --max-bands"
         )
+        raise CapExceededError(f"length {length} exceeds the enumeration cap {cap}{advice}")
     partners = inverse_partners(length)
     # Sorted keys share long prefixes, whose Burau products homfly_many
     # computes only once.
@@ -193,20 +192,6 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
     ]
     rows.sort(key=attrgetter("word"))
     return rows
-
-
-def brute_force_orbits(length: int) -> set[Word]:
-    """Orbit keys of the reduced forms of every length-n word that is minimal.
-
-    Only feasible for small n; the acceptance suite compares this against
-    the constructive generator for n <= 6.
-    """
-    out: set[Word] = set()
-    for letters in itertools.product(_LETTERS, repeat=length):
-        nf = xu.reduce(letters)
-        if nf.minimal_length == length:
-            out.add(canonical_key(nf.minimal_word))
-    return out
 
 
 def inverse_partners(length: int) -> dict[Word, Word]:
@@ -246,24 +231,11 @@ def inverse_partners(length: int) -> dict[Word, Word]:
     return partners
 
 
-def constructive_orbits(length: int) -> set[Word]:
-    """The census's orbit set."""
-    return set(inverse_partners(length))
-
-
 def genus_census(g: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:
     """All knot orbits of genus g (minimal length 2g + 2)."""
     if g < 0:
         raise ValueError("genus must be non-negative")
     return [e for e in enumerate_minimal(2 * g + 2, cap=cap) if e.components == 1]
-
-
-def census_classes(entries: Sequence[CensusEntry]) -> list[list[CensusEntry]]:
-    """Group census entries by polynomial, identifying mirror images."""
-    groups: dict[tuple, list[CensusEntry]] = {}
-    for e in entries:
-        groups.setdefault(poly_class_key(e.polynomial), []).append(e)
-    return [groups[k] for k in sorted(groups)]
 
 
 REASON_MWF = "mwf-span-exceeds-3"
@@ -303,36 +275,3 @@ def realizable_3braid(p: LaurentPoly2, cap: int = DEFAULT_MAX_BANDS) -> Realizab
         if entry.polynomial == p:
             return RealizabilityVerdict(True, witness=entry.word)
     return RealizabilityVerdict(False, REASON_SEARCH)
-
-
-@dataclass(frozen=True)
-class PretzelReport:
-    twists: tuple[int, int, int, int]
-    chi: int
-    max_deg_v: int
-    mwf_bound: int
-
-
-def braid_index_check_pretzel(p: int, q: int, r: int, s: int) -> PretzelReport:
-    """Certify braid index 4 for a pretzel with all twist counts >= 2.
-
-    Seifert's algorithm on the standard parallel diagram leaves one circle
-    per twist region and one band per crossing, so chi = 4 - (p+q+r+s).
-    The check asserts max deg_v P = 7 - chi and an MWF bound of exactly 4
-    (the two statements are equivalent given min deg_v = 1 - chi, which
-    holds for these positive links).
-    """
-    twists = (p, q, r, s)
-    if any(t < 2 for t in twists):
-        raise ValueError("all twist counts must be at least 2")
-    poly = pretzel_homfly(twists)
-    chi = len(twists) - sum(twists)
-    max_v = poly.max_deg_v()
-    bound = mwf_lower_bound(poly)
-    if poly.min_deg_v() != 1 - chi or poly.max_deg_z() != 1 - chi:
-        raise ConsistencyError(f"bottom v-degree is not 1 - chi for pretzel {twists}")
-    if max_v != 7 - chi:
-        raise ConsistencyError(f"max deg_v {max_v} != {7 - chi} for pretzel {twists}")
-    if bound != 4:
-        raise ConsistencyError(f"MWF bound {bound} != 4 for pretzel {twists}")
-    return PretzelReport(twists=twists, chi=chi, max_deg_v=max_v, mwf_bound=bound)

@@ -38,11 +38,6 @@ def shift_letter(letter: int, by: int) -> int:
     return sign * normalize_index(abs(letter) + by)
 
 
-def shift_indices(word: Sequence[int], by: int) -> Word:
-    """Add ``by`` to every subscript mod 3; this conjugates by a delta power."""
-    return tuple(shift_letter(l, by) for l in word)
-
-
 _TOKEN_RE = re.compile(r"^(-?\d+)(?:\^(-?\d+))?$")
 
 
@@ -129,13 +124,6 @@ def cyclic_rotate(word: Sequence[int], k: int) -> Word:
         return w
     k %= len(w)
     return w[k:] + w[:k]
-
-
-def concat(*words: Sequence[int]) -> Word:
-    out: list[int] = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
 
 
 def to_artin(word: Sequence[int]) -> Word:
@@ -242,4 +230,4 @@ def dual(word: Sequence[int]) -> Word:
     if e % 6 != 0:
         raise ValueError(f"dual needs exponent sum divisible by 6, got {e}")
     block = HALF_TWIST * 2 if e >= 0 else inverse(HALF_TWIST * 2)
-    return concat(block * (abs(e) // 3), inverse(word))
+    return block * (abs(e) // 3) + inverse(word)

@@ -18,10 +18,6 @@ from braid3.enumeration import (
     REASON_MWF,
     REASON_PARITY,
     REASON_SEARCH,
-    brute_force_orbits,
-    braid_index_check_pretzel,
-    census_classes,
-    constructive_orbits,
     enumerate_minimal,
     genus_census,
     realizable_3braid,
@@ -30,10 +26,13 @@ from braid3.hecke import homfly, pretzel_homfly, trace_table_from_oracle
 from braid3.invariants import ONE_PLUS_V2, OTHER, THREE_UNLINK_SQUARE, classify_leading_coefficient
 from braid3.knot_table import load_table, make_table
 from braid3.laurent import mirror_image, parse_poly
-from braid3.words import concat, dual, exponent_sum, parse_word
+from braid3.words import dual, exponent_sum, parse_word
+from census_oracle import brute_force_orbits, census_classes, constructive_orbits
 from conftest import LETTERS
 from fold_oracle import TRACE_TABLE
 from pd_skein import pd_homfly, pretzel_diagrams
+from pretzel_check import braid_index_check_pretzel
+from word_helpers import concat
 
 SWEEP_DEPTH = 12
 

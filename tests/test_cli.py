@@ -446,6 +446,25 @@ def test_max_bands_caps_genus_census(capsys):
 
 
 @pytest.mark.parametrize(
+    "genus, bands, message",
+    [
+        (7, "10", "length 16 exceeds the enumeration cap 10; raise --max-bands"),
+        # 18 bands are past every --max-bands, so there is no advice to raise it
+        (8, "16", "length 18 exceeds the enumeration cap 16 and the ceiling 16 of --max-bands"),
+    ],
+    ids=["within-ceiling", "beyond-ceiling"],
+)
+@pytest.mark.parametrize("command", ["enumerate", "check-poly"])
+def test_cap_message_advises_raising_the_cap_only_within_the_ceiling(capsys, command, genus, bands, message):
+    # genus g needs 2g + 2 bands, and so does a polynomial of top z-degree 2g
+    needs = ["--genus", str(genus)] if command == "enumerate" else ["--poly", f"1*v^0*z^{2 * genus}"]
+    code, out, err = run_cli(capsys, command, *needs, "--max-bands", bands)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["enumerate", "--table", "{tmp}/missing.csv"],

@@ -16,11 +16,7 @@ from braid3.enumeration import (
     REASON_PARITY,
     REASON_SEARCH,
     CensusEntry,
-    brute_force_orbits,
-    braid_index_check_pretzel,
     canonical_key,
-    census_classes,
-    constructive_orbits,
     enumerate_minimal,
     generate_normal_forms,
     genus_census,
@@ -32,9 +28,12 @@ from braid3.errors import CapExceededError, ConsistencyError
 from braid3.hecke import homfly
 from braid3.knot_table import make_table
 from braid3.laurent import mirror_image, parse_poly
-from braid3.words import DELTA, DELTA_INV, cyclic_rotate, inverse, permutation, shift_indices
+from braid3.words import DELTA, DELTA_INV, cyclic_rotate, inverse, permutation
 from braid3.xu import reduce
+from census_oracle import brute_force_orbits, census_classes, constructive_orbits
 from conftest import random_word, words_st
+from pretzel_check import braid_index_check_pretzel
+from word_helpers import shift_indices
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braid3 import hecke
-from braid3.enumeration import constructive_orbits
 from braid3.errors import ConsistencyError
 from braid3.hecke import (
     homfly,
@@ -23,10 +22,12 @@ from braid3.laurent import (
     mirror_image,
     parse_poly,
 )
-from braid3.words import concat, dual, exponent_sum, mirror, parse_word, render_word
+from braid3.words import dual, exponent_sum, mirror, parse_word, render_word
 from braid3.xu import reduce
+from census_oracle import constructive_orbits
 from conftest import random_word, words_st
 from fold_oracle import TRACE_TABLE, fold_homfly, fold_word
+from word_helpers import concat
 
 TREFOIL = parse_poly("2*v^2*z^0 + -1*v^4*z^0 + 1*v^2*z^2")
 

@@ -13,7 +13,6 @@ from braid3.words import (
     burau,
     burau_step,
     closure_components,
-    concat,
     cyclic_rotate,
     dual,
     exponent_sum,
@@ -22,12 +21,12 @@ from braid3.words import (
     normalize_index,
     parse_word,
     render_word,
-    shift_indices,
     to_artin,
     words_equal,
 )
 from burau_oracle import burau_matrix, entries
 from conftest import random_word, words_st
+from word_helpers import concat, shift_indices
 
 
 def norm(i):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braid3.invariants import report
-from braid3.words import concat, cyclic_rotate, inverse, mirror, words_equal
+from braid3.words import cyclic_rotate, inverse, mirror, words_equal
 from braid3.xu import (
     TYPE_A_NEGATIVE,
     TYPE_A_POSITIVE,
@@ -21,6 +21,7 @@ from braid3.xu import (
     reduce,
 )
 from conftest import LETTERS, random_word, words_st
+from word_helpers import concat
 import xu_oracle
 
 
