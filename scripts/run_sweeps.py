@@ -1,10 +1,13 @@
 """Sweep every minimal-word orbit up to a band cap and check the degree laws.
 
 For each length this verifies, orbit by orbit:
-  * the laws of ``braid3.invariants.check_laws``: max deg_z P = length - 2
-    (so the genus is visible in the polynomial), min deg_v P <= max deg_z P,
-    the z-leading coefficient lies in the allowed unit classes, and it is
-    -(1 + v^2) only for 2 components,
+  * the laws of ``braid3.invariants.broken_laws``, through ``check_laws``,
+    in their order: the MWF bound is at most 3, every z-degree has the
+    parity of 1 - components, max deg_z P = length - 2 (so the genus is
+    visible in the polynomial), the z-leading coefficient lies in the
+    allowed unit classes, min deg_v P <= max deg_z P, the leading
+    coefficient is -(1 + v^2) only for 2 components, and (1 - v^2)^2 only
+    on the empty word,
   * the strong-quasipositivity criterion implies a positive band form.
 
 Usage:  python scripts/run_sweeps.py [--max-bands N]

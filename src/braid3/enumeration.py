@@ -24,7 +24,9 @@ from typing import Iterator, Sequence
 from . import xu
 from .errors import CapExceededError, ConsistencyError
 from .hecke import homfly_many
-from .invariants import OTHER, classify_leading_coefficient, mwf_lower_bound
+from .invariants import (  # the law reason codes are imported from here too
+    REASON_BOTTOM_V, REASON_COMPONENTS, REASON_LEADING, REASON_MWF, REASON_PARITY, REASON_TOP_Z, broken_laws,
+)
 from .laurent import LaurentPoly2, mirror_image
 from .limits import MAX_BANDS_CEILING
 from .words import (
@@ -238,9 +240,6 @@ def genus_census(g: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:
     return [e for e in enumerate_minimal(2 * g + 2, cap=cap) if e.components == 1]
 
 
-REASON_MWF = "mwf-span-exceeds-3"
-REASON_PARITY = "degree-parity-mismatch"
-REASON_LEADING = "leading-coefficient-class"
 REASON_SEARCH = "exhaustive-search-miss"
 
 
@@ -254,21 +253,22 @@ class RealizabilityVerdict:
 def realizable_3braid(p: LaurentPoly2, cap: int = DEFAULT_MAX_BANDS) -> RealizabilityVerdict:
     """Decide whether a polynomial is the skein polynomial of some closed 3-braid.
 
-    The pipeline runs the cheap obstructions first and finishes with an
-    exhaustive search at the only possible band length, 2 + max deg_z.
-    A search beyond the cap raises ``CapExceededError`` (inconclusive).
+    The laws of ``invariants.broken_laws`` run first, with chi = 1 - max deg_z
+    and the component count's parity read from the top z-degree; the first
+    broken law's reason is the verdict.  A polynomial that breaks none is
+    searched for exhaustively at the only possible band length,
+    2 + max deg_z.  A search beyond the cap raises ``CapExceededError``
+    (inconclusive).
     """
     if p.is_zero:
         raise ValueError("the zero polynomial is not a link polynomial")
-    if mwf_lower_bound(p) > 3:
-        return RealizabilityVerdict(False, REASON_MWF)
-    parities = {dz & 1 for (_, dz) in p.terms_dict()}
-    if len(parities) != 1:
-        return RealizabilityVerdict(False, REASON_PARITY)
-    chi = 1 - p.max_deg_z()
-    if classify_leading_coefficient(p, chi).tag == OTHER:
-        return RealizabilityVerdict(False, REASON_LEADING)
-    length = 3 - chi
+    max_z = p.max_deg_z()
+    # z-degrees of the parity of 1 - components: odd ones mean 2 components;
+    # of an odd count the laws read only that it is not 2
+    components = 2 if max_z & 1 else 1
+    for reason, _ in broken_laws(p, 1 - max_z, components):
+        return RealizabilityVerdict(False, reason)
+    length = 2 + max_z
     if length < 0:
         return RealizabilityVerdict(False, REASON_SEARCH)
     for entry in enumerate_minimal(length, cap=cap):

@@ -1,18 +1,29 @@
-"""Per-link reports and the degree/coefficient laws of 3-braid closures.
+"""Per-link reports and the laws of 3-braid closures' skein polynomials.
 
-The central facts wired in as runtime checks: for every closed 3-braid,
-the top z-degree of the skein polynomial equals 1 - chi, the bottom
-v-degree never exceeds 1 - chi, and the coefficient of z^{1-chi} is, up to
-a unit +-v^k, one of 1, 1+v^2, 1-v^2, with (1-v^2)^2 reserved for the
-3-component unlink and -(1+v^2) for 2-component links.  ``check_laws`` is
-the one place they are checked; a violation raises ``ConsistencyError``
-(a bug), never a user error.
+The laws are necessary conditions on the skein polynomial P of a closed
+3-braid of maximal Euler characteristic chi, checked in this order by
+``broken_laws``:
+
+1. the Morton-Franks-Williams bound v-span/2 + 1 is at most 3;
+2. every z-degree has the parity of 1 - components;
+3. the top z-degree equals 1 - chi (so P shows the genus);
+4. the coefficient of z^{1-chi} is, up to a unit +-v^k, one of 1, 1+v^2,
+   1-v^2 and (1-v^2)^2;
+5. the bottom v-degree never exceeds 1 - chi;
+6. -(1+v^2) occurs only for 2-component links;
+7. (1-v^2)^2 occurs only for chi = 3, the 3-component unlink.
+
+Each law has a reason code, which ``realizable_3braid`` reports for the
+first law a polynomial breaks.  ``check_laws`` holds a computed polynomial
+to them, where a broken law raises ``ConsistencyError`` (a bug), never a
+user error.  Reference tables take only law 2, since they also hold links
+that are not closed 3-braids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import xu
 from .errors import ConsistencyError
@@ -62,28 +73,12 @@ def classify_leading_coefficient(p: LaurentPoly2, chi: int) -> CoeffClass:
     return CoeffClass(OTHER)
 
 
-def check_laws(p: LaurentPoly2, chi: int, word: Sequence[int]) -> CoeffClass:
-    """Check the degree and coefficient laws for the closure of ``word``.
-
-    ``chi`` is the closure's maximal Euler characteristic.  Returns the class
-    of the z-leading coefficient; a failed law raises ``ConsistencyError``
-    naming the law and the word.
-    """
-    def failed(law: str) -> ConsistencyError:
-        return ConsistencyError(f"{law} for {render_word(word)}")
-
-    max_z = p.max_deg_z()
-    if max_z != 1 - chi:
-        raise failed(f"top z-degree {max_z} differs from 1 - chi = {1 - chi}")
-    min_v = p.min_deg_v()
-    if min_v > 1 - chi:
-        raise failed(f"bottom v-degree {min_v} exceeds 1 - chi = {1 - chi}")
-    leading = classify_leading_coefficient(p, chi)
-    if leading.tag == OTHER:
-        raise failed("leading coefficient outside the allowed classes")
-    if leading.tag == ONE_PLUS_V2 and leading.sign == -1 and (n := closure_components(word)) != 2:
-        raise failed(f"-(1 + v^2) leading coefficient with {n} component(s)")
-    return leading
+REASON_MWF = "mwf-span-exceeds-3"
+REASON_PARITY = "degree-parity-mismatch"
+REASON_TOP_Z = "top-z-degree"
+REASON_LEADING = "leading-coefficient-class"
+REASON_BOTTOM_V = "bottom-v-degree"
+REASON_COMPONENTS = "leading-coefficient-components"
 
 
 def mwf_lower_bound(p: LaurentPoly2) -> int:
@@ -92,6 +87,50 @@ def mwf_lower_bound(p: LaurentPoly2) -> int:
         raise ValueError("MWF bound of the zero polynomial")
     span = p.max_deg_v() - p.min_deg_v()
     return -(-span // 2) + 1
+
+
+def z_parity_law(p: LaurentPoly2, components: int) -> str | None:
+    """Law 2, which every link obeys: the message when a z-degree of ``p``
+    lacks the parity of 1 - ``components``, else None."""
+    if {dz & 1 for (_, dz) in p.terms_dict()} != {(1 - components) & 1}:
+        return f"z-degrees inconsistent with {components} components"
+    return None
+
+
+def broken_laws(p: LaurentPoly2, chi: int, components: int) -> Iterator[tuple[str, str]]:
+    """The laws of the module docstring, in order: ``(reason, message)`` for
+    each that ``p`` breaks as the polynomial of a closed 3-braid with maximal
+    Euler characteristic ``chi`` and ``components`` components.
+
+    Only the parity of ``components``, and whether it is 2, is read.
+    """
+    if (bound := mwf_lower_bound(p)) > 3:
+        yield REASON_MWF, f"MWF bound {bound} exceeds 3"
+    if (parity := z_parity_law(p, components)) is not None:
+        yield REASON_PARITY, parity
+    if (max_z := p.max_deg_z()) != 1 - chi:
+        yield REASON_TOP_Z, f"top z-degree {max_z} differs from 1 - chi = {1 - chi}"
+    leading = classify_leading_coefficient(p, chi)
+    if leading.tag == OTHER:
+        yield REASON_LEADING, "leading coefficient outside the allowed classes"
+    if (min_v := p.min_deg_v()) > 1 - chi:
+        yield REASON_BOTTOM_V, f"bottom v-degree {min_v} exceeds 1 - chi = {1 - chi}"
+    if leading.tag == ONE_PLUS_V2 and leading.sign == -1 and components != 2:
+        yield REASON_COMPONENTS, f"-(1 + v^2) leading coefficient with {components} component(s)"
+    if leading.tag == THREE_UNLINK_SQUARE and chi != 3:
+        yield REASON_COMPONENTS, f"(1 - v^2)^2 leading coefficient with chi = {chi}"
+
+
+def check_laws(p: LaurentPoly2, chi: int, word: Sequence[int]) -> CoeffClass:
+    """Hold the polynomial ``p`` of the closure of ``word`` to the laws.
+
+    ``chi`` is the closure's maximal Euler characteristic.  Returns the class
+    of the z-leading coefficient; the first broken law raises
+    ``ConsistencyError`` naming the law and the word.
+    """
+    for _, message in broken_laws(p, chi, closure_components(word)):
+        raise ConsistencyError(f"{message} for {render_word(word)}")
+    return classify_leading_coefficient(p, chi)
 
 
 def c3_bound(chi: int) -> int:

@@ -24,6 +24,7 @@ from typing import Iterable
 
 from .errors import TableFormatError
 from .hecke import homfly
+from .invariants import z_parity_law
 from .laurent import LaurentPoly2, mirror_image, parse_poly, render_poly
 from .words import closure_components, parse_word
 
@@ -106,10 +107,9 @@ def parse_table(lines: Iterable[str]) -> KnotTable:
             raise TableFormatError(f"bad polynomial: {exc}", lineno) from None
         if poly.is_zero:
             raise TableFormatError("zero polynomial", lineno)
-        if {(dz - (1 - components)) % 2 for (_, dz) in poly.terms_dict()} != {0}:
-            raise TableFormatError(
-                f"z-degrees inconsistent with {components} components", lineno
-            )
+        # the one law of 3-braid closures that every link obeys
+        if (parity := z_parity_law(poly, components)) is not None:
+            raise TableFormatError(parity, lineno)
         names.add(name)
         entries.append((name, poly, components))
     return KnotTable(tuple(entries))

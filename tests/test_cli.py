@@ -353,6 +353,34 @@ def test_check_poly_not_realizable(capsys):
     assert payload["reason"] == "mwf-span-exceeds-3"
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        # bottom v-degree 20 > 1 - chi = 12
+        (["--poly", "1*v^20*z^12"], "bottom-v-degree"),
+        # 18 bands are within the cap, but no search is needed
+        (["--poly", "1*v^20*z^16", "--max-bands", "16"], "bottom-v-degree"),
+        # -(1 + v^2) on even z-degrees, an odd component count
+        (["--poly", "-1*v^0*z^12 + -1*v^2*z^12"], "leading-coefficient-components"),
+        # (1 - v^2)^2 at chi = 1, not the 3-component unlink's chi = 3
+        (["--poly", "1*v^0*z^0 + -2*v^2*z^0 + 1*v^4*z^0"], "leading-coefficient-components"),
+    ],
+    ids=["bottom-v", "bottom-v-beyond-census", "minus-one-plus-v2", "unlink-square"],
+)
+def test_check_poly_law_rejections_need_no_census(capsys, monkeypatch, fmt, argv, reason):
+    def no_generation(length):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(enumeration, "generate_normal_forms", no_generation)
+    code, out, err = run_cli(capsys, "--format", fmt, "check-poly", *argv)
+    assert (code, err) == (0, "")
+    if fmt == "text":
+        assert out == f"not realizable ({reason})\n"
+    else:
+        assert json.loads(out) == {"realizable": False, "reason": reason, "witness": None, "matched_name": None}
+
+
 def test_check_poly_reads_a_table_saved_with_a_byte_order_mark(capsys, tmp_path):
     # make-table output starts with "#convention: morton"
     path = tmp_path / "bom.csv"

@@ -8,7 +8,11 @@ from braid3.invariants import (
     ONE_PLUS_V2,
     OTHER,
     THREE_UNLINK_SQUARE,
+    REASON_MWF,
+    REASON_PARITY,
+    REASON_TOP_Z,
     UNIT_MONOMIAL,
+    broken_laws,
     c3_bound,
     check_laws,
     classify_leading_coefficient,
@@ -86,6 +90,24 @@ class TestCheckLaws:
                 "-(1 + v^2) leading coefficient with 1 component(s)",
                 id="sign-rule",
             ),
+            # v-span 2..12: MWF bound 6, checked before the degrees
+            pytest.param(
+                lambda p: p.scale_by_monomial(1, 0, 2) + parse_poly("1*v^12*z^0"),
+                "MWF bound 6 exceeds 3",
+                id="mwf",
+            ),
+            # an odd z-degree on a knot, whose z-degrees are even
+            pytest.param(
+                lambda p: p + parse_poly("1*v^2*z^1"),
+                "z-degrees inconsistent with 1 components",
+                id="parity",
+            ),
+            # z^2 coefficient v^2 (1 - v^2)^2 off the 3-component unlink
+            pytest.param(
+                lambda p: p + parse_poly("-2*v^4*z^2 + 1*v^6*z^2"),
+                "(1 - v^2)^2 leading coefficient with chi = -1",
+                id="unlink-square",
+            ),
         ],
     )
     def test_each_law_raises_naming_law_and_word(self, doctored, law):
@@ -94,6 +116,18 @@ class TestCheckLaws:
             check_laws(p, -1, self.WORD)
         assert law in str(info.value)
         assert str(info.value).endswith(f" for {render_word(self.WORD)}")
+
+
+    def test_unlink_square_allowed_on_the_empty_word(self):
+        leading = check_laws(delta_unlink_factor() ** 2, 3, ())
+        assert (leading.tag, leading.sign, leading.k) == (THREE_UNLINK_SQUARE, 1, -2)
+
+    def test_first_broken_law_is_reported(self):
+        # breaks MWF, parity and the top z-degree: the list order decides
+        p = homfly(self.WORD) + parse_poly("1*v^20*z^5")
+        assert [reason for reason, _ in broken_laws(p, -1, 1)] == [REASON_MWF, REASON_PARITY, REASON_TOP_Z]
+        with pytest.raises(ConsistencyError, match="MWF bound 10 exceeds 3"):
+            check_laws(p, -1, self.WORD)
 
 
 class TestBounds:
