@@ -6,8 +6,8 @@ For each length this verifies, orbit by orbit:
     parity of 1 - components, max deg_z P = length - 2 (so the genus is
     visible in the polynomial), the z-leading coefficient lies in the
     allowed unit classes, min deg_v P <= max deg_z P, the leading
-    coefficient is -(1 + v^2) only for 2 components, and (1 - v^2)^2 only
-    on the empty word,
+    coefficient is -(1 + v^2) only for 2 components, (1 - v^2)^2 only
+    on the empty word, and max deg_z P >= -2 (chi <= 3),
   * the strong-quasipositivity criterion implies a positive band form.
 
 Usage:  python scripts/run_sweeps.py [--max-bands N]

@@ -9,29 +9,37 @@ every computed invariant: cyclic rotation and the subscript shift
 matters for quasipositivity.  The census's orbit set is the key set of
 ``inverse_partners``.
 
+The census reads each orbit's key and skein polynomial off the generated
+word in one pass: a type-B key from the word's negative block
+(``_type_b_key``), a type-A key by ``canonical_key``, and every Burau trace
+as one product of two packed integer matrices (``_Skeins``).
+
 The slow paths live in the test suite: ``tests/census_oracle.py`` holds the
 brute-force orbit set over all 6^n words, a completeness oracle for small n,
-and the grouping of census entries by polynomial up to mirror image.
+the former prefix-sharing evaluation, and the grouping of census entries by
+polynomial up to mirror image.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from . import xu
+from . import hecke, xu
 from .errors import CapExceededError, ConsistencyError
-from .hecke import homfly_many
 from .invariants import (  # the law reason codes are imported from here too
-    REASON_BOTTOM_V, REASON_COMPONENTS, REASON_LEADING, REASON_MWF, REASON_PARITY, REASON_TOP_Z, broken_laws,
+    REASON_BOTTOM_V, REASON_CHI, REASON_COMPONENTS, REASON_LEADING, REASON_MWF, REASON_PARITY, REASON_TOP_Z,
+    broken_laws,
 )
 from .laurent import LaurentPoly2, mirror_image
 from .limits import MAX_BANDS_CEILING
 from .words import (
     DELTA,
     Word,
+    burau,
     closure_components,
     exponent_sum,
     inverse,
@@ -68,6 +76,43 @@ def canonical_key(word: Sequence[int]) -> Word:
                 if best is None or cand < best:
                     best = cand
     return best
+
+
+# A letter above every letter: it stands for the positive block that
+# follows a negative block in a type-B word.
+_BEYOND = (4,)
+
+
+def _least_start(block: Word) -> tuple[int, dict[int, int]]:
+    """Start i and shift table of the least rotation of a type-B word whose negative block is ``block``.
+
+    Every negative letter is less than every positive one, so the least
+    rotation of N P starts inside N, at a letter shifted to -3.  Two such
+    starts compare letter by letter inside N; when one shifted suffix of N
+    is a prefix of the other, the shorter one next meets a positive letter
+    of P and loses.  So the start and its shift depend on N alone.
+    """
+    best = None
+    for i, letter in enumerate(block):
+        table = _SHIFT_TABLES[letter % 3]  # the shift that takes this letter to -3
+        cand = tuple(map(table.__getitem__, block[i:])) + _BEYOND
+        if best is None or cand < best[0]:
+            best = cand, i, table
+    return best[1:]
+
+
+def _type_b_key(word: Word, starts: dict[Word, tuple[int, dict[int, int]]]) -> Word:
+    """``canonical_key`` of a type-B normal form N P: its negative block N, then its positive block P.
+
+    ``starts`` caches ``_least_start`` of each negative block met.
+    """
+    block = word[: bisect_right(word, 0)]  # the signs change once, so bisection finds P
+    start = starts.get(block)
+    if start is None:
+        start = starts[block] = _least_start(block)
+    i, table = start
+    u = tuple(map(table.__getitem__, word))
+    return u[i:] + u[:i]
 
 
 def nondecreasing_words(length: int, firsts: Sequence[int] = (1, 2, 3)) -> Iterator[Word]:
@@ -121,8 +166,12 @@ def generate_normal_forms(length: int) -> Iterator[Word]:
 
 
 def _kind(word: Sequence[int]) -> str:
-    """Xu kind of a normal form, read from its signs (the empty word is type A+)."""
-    if min(word, default=1) > 0:
+    """Xu kind of a normal form or an orbit key, read from its first and largest letters.
+
+    Both start with a negative letter unless they are positive throughout
+    (the empty word is type A+).
+    """
+    if not word or word[0] > 0:
         return xu.TYPE_A_POSITIVE
     return xu.TYPE_A_NEGATIVE if max(word) < 0 else xu.TYPE_B
 
@@ -132,8 +181,8 @@ class CensusEntry:
     """One symmetry orbit of minimal words: its key and its polynomial.
 
     The other columns are properties read from the key: ``kind`` from its
-    letter signs, ``length``, ``components`` from its permutation, and
-    ``chi = 3 - length``.
+    first and largest letters, ``length``, ``components`` from its
+    permutation, and ``chi = 3 - length``.
     """
 
     word: Word  # canonical orbit representative
@@ -156,13 +205,165 @@ class CensusEntry:
         return 3 - len(self.word)
 
 
+# ---------------------------------------------------------------------------
+# Burau traces by Kronecker substitution: a reduced Burau matrix evaluated at
+# t = 2^_K is four Python ints and a t-offset, and integer products multiply
+# the polynomials.  Every band letter's matrix, inverse letters included, has
+# row sums of coefficient L1 norms of at most 3, and that norm is
+# submultiplicative, so the diagonal entries and the trace of a word of
+# n <= MAX_BANDS_CEILING = 16 letters have coefficients below 2 * 3^16 < 2^27.
+# With _K = 32 each coefficient is one signed digit, and a decoded digit of
+# 2^(_K-2) or more means the bound failed.
+
+_K = 32
+_DIGIT = (1 << _K) - 1
+_LIMIT = 1 << (_K - 2)
+
+_PackedBurau = tuple[int, int, int, int, int]  # (t-offset, a, b, c, d) at t = 2^_K
+
+
+def _packed(coeffs: Sequence[int]) -> int:
+    return sum(c << (_K * i) for i, c in enumerate(coeffs))
+
+
+def _packed_letter(letter: int) -> _PackedBurau:
+    m = burau((letter,))
+    return (m.offset, *map(_packed, (m.a, m.b, m.c, m.d)))
+
+
+_PACKED_LETTERS = {l: _packed_letter(l) for l in _LETTERS}
+
+
+def _digits(x: int, word: Sequence[int]) -> list[int]:
+    """The coefficients of the packed polynomial ``x``, lowest first: its signed base-2^_K digits."""
+    digits = []
+    while x:
+        digit = x & _DIGIT
+        if digit >> (_K - 1):
+            digit -= 1 << _K
+        if not -_LIMIT < digit < _LIMIT:
+            raise ConsistencyError(f"a Burau coefficient outgrew its packed digit for {render_word(word)}")
+        digits.append(digit)
+        x = (x - digit) >> _K
+    return digits
+
+
+def _unpacked_trace(lo: int, top: int, bottom: int, word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(offset, coefficients) of the trace of a packed diagonal, trimmed by ``hecke._trace``."""
+    top_digits, bottom_digits = _digits(top, word), _digits(bottom, word)
+    size = max(len(top_digits), len(bottom_digits))
+    top_digits += [0] * (size - len(top_digits))
+    bottom_digits += [0] * (size - len(bottom_digits))
+    return hecke._trace(lo, top_digits, bottom_digits)
+
+
+class _Skeins:
+    """Skein polynomials of one length's normal forms, one object per distinct polynomial.
+
+    A word's trace is tr(B(first half) B(second half)).  Each half is a
+    block of at most 8 letters whose matrix is one product from its
+    prefix's, so the block cache stays small at every length.
+    """
+
+    def __init__(self) -> None:
+        self.blocks: dict[Word, _PackedBurau] = {(): (0, 1, 0, 0, 1)}
+        self.by_trace: dict[tuple[int, int, int], LaurentPoly2] = {}
+        self.by_value: dict[LaurentPoly2, LaurentPoly2] = {}
+        self.mirrors: dict[int, LaurentPoly2] = {}
+
+    def _block(self, block: Word) -> _PackedBurau:
+        m = self.blocks.get(block)
+        if m is None:
+            o, a, b, c, d = self._block(block[:-1])
+            p, e, f, g, h = _PACKED_LETTERS[block[-1]]
+            m = self.blocks[block] = (o + p, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return m
+
+    def diagonal(self, word: Word) -> tuple[int, int, int]:
+        """(t-offset, top, bottom): the packed diagonal of the Burau matrix of ``word``."""
+        half = len(word) // 2
+        o1, a1, b1, c1, d1 = self._block(word[:half])
+        o2, a2, b2, c2, d2 = self._block(word[half:])
+        return o1 + o2, a1 * a2 + b1 * c2, c1 * b2 + d1 * d2
+
+    def of(self, word: Word, e: int) -> LaurentPoly2:
+        """P of the closure of ``word``, whose exponent sum is ``e``."""
+        diagonal = lo, top, bottom = self.diagonal(word)
+        x = top + bottom
+        while x and not x & _DIGIT:  # one key per trace: no zero lowest digit
+            x >>= _K
+            lo += 1
+        key = (e, lo, x)
+        poly = self.by_trace.get(key)
+        if poly is None:
+            poly = hecke._skein_from_trace(e, *_unpacked_trace(*diagonal, word), word)
+            poly = self.by_trace[key] = self.by_value.setdefault(poly, poly)
+        return poly
+
+    def mirror(self, poly: LaurentPoly2) -> LaurentPoly2:
+        m = self.mirrors.get(id(poly))
+        if m is None:
+            m = mirror_image(poly)
+            m = self.mirrors[id(poly)] = self.by_value.setdefault(m, m)
+        return m
+
+
+def _orbit_pairs(length: int) -> Iterator[tuple[Word, Word, Word, Word, int]]:
+    """``(word, mate, key, mate_key, e)`` for each generated inverse pair, e the word's exponent sum.
+
+    A type-A pair comes with its positive word first, so e = length for
+    type A and e < length for type B.  A pair whose type-A keys differ in
+    length or lack opposite exponent sums is a bug (the kind follows from
+    both: A+ at e = n, A- at e = -n, so this also checks that A+ and A-
+    swap).  Type-B keys are rotations of their shifted words, so they pass
+    by construction.
+    """
+    starts: dict[Word, tuple[int, dict[int, int]]] = {}
+    left_len = 0
+    words = generate_normal_forms(length)
+    for word in words:
+        # the empty word is its own inverse and comes alone
+        mate = next(words) if word else word
+        if word and word[0] < 0:
+            split = bisect_right(word, 0)
+            if split != left_len:
+                # pairs come by left-factor length, so no negative block recurs after it changes
+                starts.clear()
+                left_len = split
+            yield word, mate, _type_b_key(word, starts), _type_b_key(mate, starts), length - 2 * split
+            continue
+        key, mate_key = canonical_key(word), canonical_key(mate)
+        if len(mate_key) != len(key) or exponent_sum(mate_key) != -exponent_sum(key):
+            raise ConsistencyError(
+                f"{render_word(mate)} is not in the inverse orbit of {render_word(word)}"
+            )
+        yield word, mate, key, mate_key, length
+
+
+def _pair_type_a(partners: dict[Word, Word], key: Word, mate_key: Word) -> bool:
+    """Record a type-A inverse pair; False when it was met before, in another shift.
+
+    An orbit paired with two different orbits is a bug.
+    """
+    new = key not in partners
+    for k, partner in ((key, mate_key), (mate_key, key)):
+        old = partners.setdefault(k, partner)
+        if old != partner:
+            raise ConsistencyError(
+                f"orbit {render_word(k)} has inverse orbits {render_word(old)} and {render_word(partner)}"
+            )
+    return new
+
+
 def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:
     """All minimal-word orbits of exactly the given length, sorted by key.
 
     The closure of a word's inverse is its mirror image with every
     orientation reversed, which leaves the skein polynomial unchanged, so
-    only the lesser key of each inverse pair is evaluated; the other gets
-    the mirror image of its polynomial.
+    only the first word of each inverse pair is evaluated; the other gets
+    the mirror image of its polynomial.  Type-B words come one per orbit,
+    so equal neighbours among the sorted keys are a bug, which
+    ``inverse_partners`` then names.
     """
     if length > cap:
         # past the ceiling no --max-bands reaches the length
@@ -172,64 +373,43 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
             else f" and the ceiling {MAX_BANDS_CEILING} of --max-bands"
         )
         raise CapExceededError(f"length {length} exceeds the enumeration cap {cap}{advice}")
-    partners = inverse_partners(length)
-    # Sorted keys share long prefixes, whose Burau products homfly_many
-    # computes only once.
-    lesser = sorted(key for key, partner in partners.items() if key <= partner)
-    greater = [partners[key] for key in lesser]
-    del partners  # a length's largest temporary: free it before the rows are made
-    rows = [CensusEntry(key, poly) for key, poly in zip(lesser, homfly_many(lesser))]
-    # homfly_many returns one object per distinct polynomial; mirror images
-    # join them by value, and are found by the id of their source
-    distinct = {id(e.polynomial): e.polynomial for e in rows}
-    merged = {p: p for p in distinct.values()}
-    mirrors = {}
-    for i, p in distinct.items():
-        m = mirror_image(p)
-        mirrors[i] = merged.setdefault(m, m)
-    rows += [
-        CensusEntry(key, mirrors[id(e.polynomial)])
-        for key, e in zip(greater, rows)
-        if key != e.word
-    ]
+    skeins = _Skeins()
+    partners: dict[Word, Word] = {}  # type-A orbits only
+    rows: list[CensusEntry] = []
+    for word, _, key, mate_key, e in _orbit_pairs(length):
+        if e == length:
+            if not _pair_type_a(partners, key, mate_key):
+                continue
+        elif partners:
+            partners.clear()  # every type-A pair comes before the first type-B pair
+        poly = skeins.of(word, e)
+        rows.append(CensusEntry(key, poly))
+        if word:
+            rows.append(CensusEntry(mate_key, skeins.mirror(poly)))
+    del skeins, partners  # free the caches before the sort allocates
     rows.sort(key=attrgetter("word"))
+    for before, entry in itertools.pairwise(rows):
+        if before.word == entry.word:
+            inverse_partners(length)
+            raise ConsistencyError(f"orbit {render_word(entry.word)} is generated twice")
     return rows
 
 
 def inverse_partners(length: int) -> dict[Word, Word]:
     """Each orbit key of the given length, mapped to the key of its inverse orbit.
 
-    Type-B words come one per orbit, so a repeated type-B key is a bug, and
-    so is a pair whose keys differ in length or lack opposite exponent sums
-    (the kind follows from both: A+ at e = n, A- at e = -n, B between, so
-    this also checks that A+ and A- swap and B stays B), and an orbit
-    paired with two different orbits.
+    Besides the checks of the census pass, this keeps every key, so it
+    names the word behind a repeated type-B orbit.
     """
     partners: dict[Word, Word] = {}
-    words = generate_normal_forms(length)
-    for word in words:
-        # the empty word is its own inverse and comes alone
-        mate = next(words) if word else word
-        key, mate_key = canonical_key(word), canonical_key(mate)
-        if len(mate_key) != len(key) or exponent_sum(mate_key) != -exponent_sum(key):
-            raise ConsistencyError(
-                f"{render_word(mate)} is not in the inverse orbit of {render_word(word)}"
-            )
-        if key not in partners and mate_key not in partners and key != mate_key:
-            partners[key] = mate_key
-            partners[mate_key] = key
+    for word, mate, key, mate_key, e in _orbit_pairs(length):
+        if e == length:
+            _pair_type_a(partners, key, mate_key)
             continue
-        # a type-A orbit met again in another shift, the empty word, or a bug
         for w, k, partner in ((word, key, mate_key), (mate, mate_key, key)):
-            old = partners.get(k)
-            if old is None:
-                partners[k] = partner
-            elif _kind(w) == xu.TYPE_B:
+            if k in partners:
                 raise ConsistencyError(f"type-B word {render_word(w)} repeats orbit {render_word(k)}")
-            elif old != partner:
-                raise ConsistencyError(
-                    f"orbit {render_word(k)} has inverse orbits {render_word(old)} and {render_word(partner)}"
-                )
+            partners[k] = partner
     return partners
 
 
@@ -257,8 +437,8 @@ def realizable_3braid(p: LaurentPoly2, cap: int = DEFAULT_MAX_BANDS) -> Realizab
     and the component count's parity read from the top z-degree; the first
     broken law's reason is the verdict.  A polynomial that breaks none is
     searched for exhaustively at the only possible band length,
-    2 + max deg_z.  A search beyond the cap raises ``CapExceededError``
-    (inconclusive).
+    2 + max deg_z, which law 8 keeps non-negative.  A search beyond the cap
+    raises ``CapExceededError`` (inconclusive).
     """
     if p.is_zero:
         raise ValueError("the zero polynomial is not a link polynomial")
@@ -268,10 +448,7 @@ def realizable_3braid(p: LaurentPoly2, cap: int = DEFAULT_MAX_BANDS) -> Realizab
     components = 2 if max_z & 1 else 1
     for reason, _ in broken_laws(p, 1 - max_z, components):
         return RealizabilityVerdict(False, reason)
-    length = 2 + max_z
-    if length < 0:
-        return RealizabilityVerdict(False, REASON_SEARCH)
-    for entry in enumerate_minimal(length, cap=cap):
+    for entry in enumerate_minimal(2 + max_z, cap=cap):
         if entry.polynomial == p:
             return RealizabilityVerdict(True, witness=entry.word)
     return RealizabilityVerdict(False, REASON_SEARCH)

@@ -22,7 +22,9 @@ z = s - s^{-1} and u = s^2,
 symmetric under s -> -s^{-1}, to z through s^j + (-1)^j s^{-j} = L_j(z) with
 L_j = z L_(j-1) + L_(j-2).  A division that leaves a remainder or a
 quotient that is not symmetric means a broken identity and raises
-``ConsistencyError`` naming the word.
+``ConsistencyError`` naming the word.  The census (``enumeration``) takes
+its traces from Burau matrices packed into integers and converts them
+through the same ``_trace`` and ``_skein_from_trace``.
 
 At import time the six basis braids 1, a, b, ab, ba, aba must give the
 closure values that ``trace_table_from_oracle`` rederives from closed
@@ -40,7 +42,7 @@ from typing import Sequence
 from .errors import ConsistencyError
 from .laurent import LaurentPoly2, delta_unlink_factor, exact_quotient, mirror_image
 from .limits import MAX_REGIONS, MAX_TWISTS
-from .words import BURAU_ONE, burau, burau_step, exponent_sum, render_word, to_artin
+from .words import burau, exponent_sum, render_word
 
 
 def _trace(lo: int, a: Sequence[int], d: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -140,44 +142,6 @@ def homfly(word: Sequence[int]) -> LaurentPoly2:
     """Skein polynomial of the closure, from the exponent sum and one Burau product."""
     m = burau(word)
     return _skein_from_trace(m.exponent, *_trace(m.offset, m.a, m.d), word)
-
-
-def homfly_many(words: Sequence[Sequence[int]]) -> list[LaurentPoly2]:
-    """``homfly`` of each word, multiplying a prefix shared with the previous word once.
-
-    ``stack[i]`` is the Burau product of the first i Artin letters of the
-    previous word, so a sorted list of short words costs little more than
-    its distinct suffixes.  Each distinct (exponent sum, trace) pair is
-    converted to a polynomial once per call, and equal polynomials from
-    different pairs (``[1]`` and ``[-1]``) come back as one object.  An error
-    names the first word with that pair.
-    """
-    out: list[LaurentPoly2] = []
-    seen: dict[tuple[int, int, tuple[int, ...]], LaurentPoly2] = {}
-    by_value: dict[LaurentPoly2, LaurentPoly2] = {}
-    prev: tuple[int, ...] = ()
-    stack = [BURAU_ONE]
-    for word in words:
-        w = to_artin(word)
-        common = 0
-        for x, y in zip(prev, w):
-            if x != y:
-                break
-            common += 1
-        del stack[common + 1 :]
-        m = stack[common]
-        for l in w[common:]:
-            m = burau_step(m, l)
-            stack.append(m)
-        lo, a, _, _, d = m
-        key = (exponent_sum(w), *_trace(lo, a, d))
-        poly = seen.get(key)
-        if poly is None:
-            poly = _skein_from_trace(*key, word)
-            poly = seen[key] = by_value.setdefault(poly, poly)
-        out.append(poly)
-        prev = w
-    return out
 
 
 # ---------------------------------------------------------------------------

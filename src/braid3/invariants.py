@@ -11,7 +11,8 @@ The laws are necessary conditions on the skein polynomial P of a closed
    1-v^2 and (1-v^2)^2;
 5. the bottom v-degree never exceeds 1 - chi;
 6. -(1+v^2) occurs only for 2-component links;
-7. (1-v^2)^2 occurs only for chi = 3, the 3-component unlink.
+7. (1-v^2)^2 occurs only for chi = 3, the 3-component unlink;
+8. the top z-degree is at least -2 (chi is at most 3).
 
 Each law has a reason code, which ``realizable_3braid`` reports for the
 first law a polynomial breaks.  ``check_laws`` holds a computed polynomial
@@ -79,6 +80,7 @@ REASON_TOP_Z = "top-z-degree"
 REASON_LEADING = "leading-coefficient-class"
 REASON_BOTTOM_V = "bottom-v-degree"
 REASON_COMPONENTS = "leading-coefficient-components"
+REASON_CHI = "euler-characteristic-exceeds-3"
 
 
 def mwf_lower_bound(p: LaurentPoly2) -> int:
@@ -97,12 +99,15 @@ def z_parity_law(p: LaurentPoly2, components: int) -> str | None:
     return None
 
 
-def broken_laws(p: LaurentPoly2, chi: int, components: int) -> Iterator[tuple[str, str]]:
+def broken_laws(
+    p: LaurentPoly2, chi: int, components: int, leading: CoeffClass | None = None
+) -> Iterator[tuple[str, str]]:
     """The laws of the module docstring, in order: ``(reason, message)`` for
     each that ``p`` breaks as the polynomial of a closed 3-braid with maximal
     Euler characteristic ``chi`` and ``components`` components.
 
     Only the parity of ``components``, and whether it is 2, is read.
+    ``leading``, when given, is ``classify_leading_coefficient(p, chi)``.
     """
     if (bound := mwf_lower_bound(p)) > 3:
         yield REASON_MWF, f"MWF bound {bound} exceeds 3"
@@ -110,7 +115,8 @@ def broken_laws(p: LaurentPoly2, chi: int, components: int) -> Iterator[tuple[st
         yield REASON_PARITY, parity
     if (max_z := p.max_deg_z()) != 1 - chi:
         yield REASON_TOP_Z, f"top z-degree {max_z} differs from 1 - chi = {1 - chi}"
-    leading = classify_leading_coefficient(p, chi)
+    if leading is None:
+        leading = classify_leading_coefficient(p, chi)
     if leading.tag == OTHER:
         yield REASON_LEADING, "leading coefficient outside the allowed classes"
     if (min_v := p.min_deg_v()) > 1 - chi:
@@ -119,18 +125,26 @@ def broken_laws(p: LaurentPoly2, chi: int, components: int) -> Iterator[tuple[st
         yield REASON_COMPONENTS, f"-(1 + v^2) leading coefficient with {components} component(s)"
     if leading.tag == THREE_UNLINK_SQUARE and chi != 3:
         yield REASON_COMPONENTS, f"(1 - v^2)^2 leading coefficient with chi = {chi}"
+    if max_z < -2:
+        yield REASON_CHI, f"top z-degree {max_z} is below -2, so chi exceeds 3"
 
 
-def check_laws(p: LaurentPoly2, chi: int, word: Sequence[int]) -> CoeffClass:
+def check_laws(
+    p: LaurentPoly2, chi: int, word: Sequence[int], components: int | None = None
+) -> CoeffClass:
     """Hold the polynomial ``p`` of the closure of ``word`` to the laws.
 
-    ``chi`` is the closure's maximal Euler characteristic.  Returns the class
-    of the z-leading coefficient; the first broken law raises
-    ``ConsistencyError`` naming the law and the word.
+    ``chi`` is the closure's maximal Euler characteristic and ``components``
+    its component count, read from the word's permutation when not given.
+    Returns the class of the z-leading coefficient; the first broken law
+    raises ``ConsistencyError`` naming the law and the word.
     """
-    for _, message in broken_laws(p, chi, closure_components(word)):
+    if components is None:
+        components = closure_components(word)
+    leading = classify_leading_coefficient(p, chi)
+    for _, message in broken_laws(p, chi, components, leading):
         raise ConsistencyError(f"{message} for {render_word(word)}")
-    return classify_leading_coefficient(p, chi)
+    return leading
 
 
 def c3_bound(chi: int) -> int:
@@ -193,7 +207,7 @@ def report(word: Sequence[int]) -> InvariantReport:
     w = tuple(word)
     nf = xu.reduce(w)
     p = homfly(w)
-    leading = check_laws(p, nf.chi, w)
+    leading = check_laws(p, nf.chi, w, nf.components)
     nabla = conway(p)
     return InvariantReport(
         word=w,

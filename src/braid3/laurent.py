@@ -223,6 +223,9 @@ class LaurentPoly2(_LaurentPoly):
     def max_deg_z(self) -> int:
         return self._degs(1, max)
 
+    def min_deg_z(self) -> int:
+        return self._degs(1, min)
+
     def z_coefficient(self, dz: int) -> LaurentPoly1:
         """The polynomial in v multiplying z^dz (zero if absent)."""
         return LaurentPoly1("v", {a: c for (a, b), c in self._terms.items() if b == dz})

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braid3 import enumeration, hecke, invariants
+from braid3 import cli, enumeration, hecke, invariants
 from braid3.cli import run
 from braid3.errors import ConsistencyError
 from braid3.hecke import homfly
@@ -269,6 +269,33 @@ def test_ten_band_census_output_is_pinned(capsys, fmt, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "a4c782a57db359fdd3870fba8093ee71480d31cf84caee7d33463bb825386f12"),
+        ("structured", "bd3b6e6b6eeb08e76f943622dc1ce5d305c6ef240c3043a68cf424940d260b82"),
+    ],
+    ids=["text", "structured"],
+)
+def test_twelve_band_census_output_is_pinned(capsys, fmt, digest):
+    # taken when every key came from the rotation search and every trace
+    # from a dense Burau product; keys read off the negative block, packed
+    # traces and component counts read from the polynomial must not change a byte
+    code, out, _ = run_cli(capsys, "--format", fmt, "enumerate", "--max-bands", "12")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_census_component_count_disagreeing_with_the_permutation_exits_two(capsys, monkeypatch):
+    # the count is read from the polynomial's lowest z-degree and checked
+    # once per polynomial against its first row's permutation: [], of 3
+    # components, passes, and [-3], the first row of length 1, does not
+    monkeypatch.setattr(cli, "closure_components", lambda word: 3)
+    code, out, err = run_cli(capsys, "enumerate", "--max-bands", "2")
+    assert (code, out) == (2, "")
+    assert err == "internal error: the polynomial of [-3] shows 2 components, its permutation 3\n"
+
+
 class _CountingSink:
     """A stdout that discards its text and keeps the length of the longest write."""
 
@@ -297,17 +324,32 @@ def test_census_rows_are_written_one_at_a_time():
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_engine_failure_part_way_leaves_stdout_empty(capsys, monkeypatch, fmt):
     # lengths 0..4 succeed; the census fails at length 5, before any row is written
-    homfly_many = enumeration.homfly_many
+    of = enumeration._Skeins.of
 
-    def failing_at_five(words):
-        if words and len(words[0]) == 5:
+    def failing_at_five(skeins, word, e):
+        if len(word) == 5:
             raise ConsistencyError("injected failure at length 5")
-        return homfly_many(words)
+        return of(skeins, word, e)
 
-    monkeypatch.setattr(enumeration, "homfly_many", failing_at_five)
+    monkeypatch.setattr(enumeration._Skeins, "of", failing_at_five)
     code, out, err = run_cli(capsys, "--format", fmt, "enumerate", "--max-bands", "7")
     assert (code, out) == (2, "")
     assert err == "internal error: injected failure at length 5\n"
+
+
+@pytest.mark.parametrize("poly", ["1*v^-10*z^-4", "1*v^-3*z^-3"])
+def test_check_poly_below_the_empty_word_breaks_law_8(capsys, poly):
+    # max deg_z P < -2 would need chi > 3: no search, and not the search's reason
+    code, out, _ = run_cli(capsys, "check-poly", "--poly", poly)
+    assert (code, out) == (0, "not realizable (euler-characteristic-exceeds-3)\n")
+    code, out, _ = run_cli(capsys, "--format", "structured", "check-poly", "--poly", poly)
+    assert code == 0
+    assert json.loads(out) == {
+        "matched_name": None,
+        "realizable": False,
+        "reason": "euler-characteristic-exceeds-3",
+        "witness": None,
+    }
 
 
 def test_check_poly_prints_the_empty_witness(capsys):

@@ -170,12 +170,12 @@ class TestGeneration:
     def test_repeated_type_b_orbit_is_a_consistency_error(self, monkeypatch, capsys):
         # [-1 2] and [-1 3] are the two type-B words of length 2, in
         # different orbits; a key that collapses them breaks the identity
-        key = canonical_key
+        key = enumeration._type_b_key
 
-        def collapsing(word):
-            return key((-1, 2)) if tuple(word) == (-1, 3) else key(word)
+        def collapsing(word, starts):
+            return key((-1, 2), starts) if tuple(word) == (-1, 3) else key(word, starts)
 
-        monkeypatch.setattr(enumeration, "canonical_key", collapsing)
+        monkeypatch.setattr(enumeration, "_type_b_key", collapsing)
         with pytest.raises(ConsistencyError, match=r"type-B word \[-1 3\]"):
             enumerate_minimal(2)
         assert run(["enumerate", "--max-bands", "3"]) == 2
@@ -267,6 +267,49 @@ class TestSweep:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "all degree and coefficient laws hold on 1505 orbits"
+
+
+class TestCensusShortcuts:
+    def test_oracles_script_to_twelve_bands(self):
+        # block keys against canonical_key on every type-B normal form and
+        # its mate, packed traces against dense Burau traces on every census
+        # key; 52 is the largest decoded coefficient of 0-12 bands, far below
+        # the 2^30 at which decoding raises
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "census_oracles.py"), "--max-bands", "12"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        last = done.stdout.splitlines()[-1]
+        assert last == "block keys and packed traces agree up to 12 bands; largest |coefficient| 52"
+        assert 52 < 2 ** (enumeration._K - 2)
+
+    def test_block_key_of_the_length_two_pair(self):
+        # [-1 3] is [-3 2] shifted by 2: its least start is its one letter
+        assert enumeration._type_b_key((-1, 2), {}) == (-3, 1)
+        assert enumeration._type_b_key((-1, 3), {}) == (-3, 2)
+        assert canonical_key((-1, 3)) == (-3, 2)
+
+    def test_a_longer_negative_run_wins_over_its_prefix(self):
+        # N = [-2 -1 -1]: starting at the run -1 -1 (shifted to -3 -3) beats
+        # starting at -2, and the start is found from N alone
+        starts = {}
+        word = (-2, -1, -1, 2, 3)
+        assert enumeration._type_b_key(word, starts) == canonical_key(word)
+        assert list(starts) == [(-2, -1, -1)]
+
+    def test_oversized_packed_digit_is_a_consistency_error(self):
+        limit = 1 << (enumeration._K - 2)
+        assert enumeration._digits(limit - 1, (1, 2)) == [limit - 1]
+        assert enumeration._digits(-(limit - 1) << enumeration._K, (1, 2)) == [0, -(limit - 1)]
+        with pytest.raises(ConsistencyError, match=r"outgrew its packed digit for \[1 2\]$"):
+            enumeration._digits(limit, (1, 2))
+        with pytest.raises(ConsistencyError, match=r"for \[1 2\]$"):
+            enumeration._digits(-limit << enumeration._K, (1, 2))
 
 
 class TestCensus:

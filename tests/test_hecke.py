@@ -10,7 +10,6 @@ from braid3 import hecke
 from braid3.errors import ConsistencyError
 from braid3.hecke import (
     homfly,
-    homfly_many,
     pretzel_homfly,
     skein_oracle,
     torus_homfly,
@@ -24,7 +23,7 @@ from braid3.laurent import (
 )
 from braid3.words import dual, exponent_sum, mirror, parse_word, render_word
 from braid3.xu import reduce
-from census_oracle import constructive_orbits
+from census_oracle import constructive_orbits, homfly_many
 from conftest import random_word, words_st
 from fold_oracle import TRACE_TABLE, fold_homfly, fold_word
 from word_helpers import concat

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from braid3 import invariants
 from braid3.errors import ConsistencyError
 from braid3.hecke import homfly, pretzel_homfly
 from braid3.invariants import (
@@ -8,6 +9,8 @@ from braid3.invariants import (
     ONE_PLUS_V2,
     OTHER,
     THREE_UNLINK_SQUARE,
+    REASON_CHI,
+    REASON_LEADING,
     REASON_MWF,
     REASON_PARITY,
     REASON_TOP_Z,
@@ -121,6 +124,28 @@ class TestCheckLaws:
     def test_unlink_square_allowed_on_the_empty_word(self):
         leading = check_laws(delta_unlink_factor() ** 2, 3, ())
         assert (leading.tag, leading.sign, leading.k) == (THREE_UNLINK_SQUARE, 1, -2)
+
+    def test_chi_law_comes_last(self):
+        # z^-4 alone obeys laws 1-7 read at chi = 5; law 8 says chi <= 3
+        p = parse_poly("1*v^-10*z^-4")
+        assert [reason for reason, _ in broken_laws(p, 5, 1)] == [REASON_CHI]
+        q = p + parse_poly("1*v^10*z^-4")
+        assert [reason for reason, _ in broken_laws(q, 5, 1)] == [REASON_MWF, REASON_LEADING, REASON_CHI]
+        with pytest.raises(ConsistencyError, match=r"top z-degree -4 is below -2, so chi exceeds 3 for \[\]$"):
+            check_laws(p, 5, ())
+
+    def test_given_component_count_is_the_one_read(self):
+        # the trefoil's even z-degrees contradict a count of 2
+        p = homfly(self.WORD)
+        with pytest.raises(ConsistencyError, match="z-degrees inconsistent with 2 components"):
+            check_laws(p, -1, self.WORD, 2)
+
+    def test_report_takes_components_from_the_normal_form(self, monkeypatch):
+        def walked(word):
+            raise AssertionError("report recomputed the component count")
+
+        monkeypatch.setattr(invariants, "closure_components", walked)
+        assert report((1, 1, 1, 2)).components == 1
 
     def test_first_broken_law_is_reported(self):
         # breaks MWF, parity and the top z-degree: the list order decides

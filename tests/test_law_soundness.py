@@ -14,6 +14,7 @@ import pytest
 from braid3 import enumeration
 from braid3.enumeration import (
     REASON_BOTTOM_V,
+    REASON_CHI,
     REASON_COMPONENTS,
     REASON_LEADING,
     REASON_MWF,
@@ -88,3 +89,21 @@ def test_a_law_rejects_only_what_the_scan_misses(scan, monkeypatch):
         seen.add(verdict.reason)
     # every reason check-poly can give is reached, and so is a hit
     assert seen == {REASON_MWF, REASON_PARITY, REASON_LEADING, REASON_BOTTOM_V, REASON_COMPONENTS, REASON_SEARCH, None}
+
+
+def test_polynomials_below_the_empty_word_break_law_8(scan, monkeypatch):
+    # every census polynomial and near-miss moved below z^-2, where the band
+    # length 2 + max deg_z would be negative: law 8 answers before any search,
+    # unless an earlier law already broke
+    monkeypatch.setattr(enumeration, "enumerate_minimal", None)
+    polys = sorted({p for by_poly in scan.values() for p in by_poly}, key=lambda p: sorted(p.terms_dict().items()))
+    reasons = set()
+    for q in near_misses(polys):
+        if q.is_zero:
+            continue
+        low = q.scale_by_monomial(1, 0, -3 - q.max_deg_z() - (q.max_deg_z() & 1))
+        law = first_broken_law(low)
+        verdict = realizable_3braid(low, cap=MAX_BANDS)
+        assert law is not None and (verdict.realizable, verdict.reason) == (False, law[0]), low
+        reasons.add(law[0])
+    assert REASON_CHI in reasons
