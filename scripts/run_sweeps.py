@@ -8,6 +8,9 @@ For each length this verifies, orbit by orbit:
     allowed unit classes, min deg_v P <= max deg_z P, the leading
     coefficient is -(1 + v^2) only for 2 components, (1 - v^2)^2 only
     on the empty word, and max deg_z P >= -2 (chi <= 3),
+  * the component count read from the polynomial, 1 - min deg_z P, equals
+    the permutation's cycle count (the census checks one row per
+    polynomial; the sweep checks every orbit),
   * the strong-quasipositivity criterion implies a positive band form.
 
 Usage:  python scripts/run_sweeps.py [--max-bands N]
@@ -21,7 +24,7 @@ from collections import Counter
 from braid3.enumeration import enumerate_minimal
 from braid3.errors import ConsistencyError
 from braid3.invariants import check_laws, pmcf_predicate
-from braid3.words import render_word
+from braid3.words import closure_components, render_word
 from braid3.xu import is_strongly_quasipositive
 
 
@@ -47,6 +50,7 @@ def main() -> int:
         for e in entries:
             p = e.polynomial
             check_laws(p, e.chi, e.word)
+            law(e.components == closure_components(e.word), "components from min deg_z P", e)
             if pmcf_predicate(p):
                 qp = is_strongly_quasipositive(e.word)
                 law(qp != "no", "PMCF implies a positive band form", e)

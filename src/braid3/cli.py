@@ -18,7 +18,7 @@ from .hecke import homfly, pretzel_homfly, torus_homfly
 from .invariants import CoeffClass
 from .laurent import LaurentPoly1, LaurentPoly2, parse_poly, render_poly
 from .limits import MAX_BANDS_CEILING
-from .words import closure_components, parse_word, render_word
+from .words import parse_word, render_word
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,23 +90,13 @@ _LETTER_TEXT = {l: str(l) for l in (1, 2, 3, -1, -2, -3)}
 
 
 def _census_cell(entry, table, structured: bool) -> tuple[int, str]:
-    """The component count and the encoded polynomial and name of a row's polynomial.
-
-    The count is 1 - min deg_z P: the lowest z-term of P is z^(1-c) times a
-    nonzero factor (Lickorish-Millett), and the row's permutation must agree.
-    """
+    """The component count and the encoded polynomial and table name of a row's polynomial."""
     p = entry.polynomial
-    components = 1 - p.min_deg_z()
-    if components != (walked := closure_components(entry.word)):
-        raise ConsistencyError(
-            f"the polynomial of {render_word(entry.word)} shows {components} components, "
-            f"its permutation {walked}"
-        )
     text = render_poly(p)
     name = (table.match(p) if table is not None else None) or ""
     if structured:
-        return components, f'"name": {_ENCODER.encode(name)}, "polynomial": {_ENCODER.encode(text)}'
-    return components, f'"{text}",{name}'
+        return entry.components, f'"name": {_ENCODER.encode(name)}, "polynomial": {_ENCODER.encode(text)}'
+    return entry.components, f'"{text}",{name}'
 
 
 def _write_census(entries, table, structured: bool) -> None:
@@ -114,22 +104,20 @@ def _write_census(entries, table, structured: bool) -> None:
     the encoder frames a list (``[``, rows joined by ``, ``, ``]``).
 
     A row is a fixed template, its JSON fields in ``sort_keys`` order.  The
-    component count, the polynomial and its table name are computed and
-    encoded once per distinct polynomial; kinds and rendered words need no
-    JSON escapes.  Every cell is made before the first byte is written, so
-    a failed component check leaves stdout empty.
+    component count and the encoded polynomial and table name are made once
+    per distinct polynomial; kinds and rendered words need no JSON escapes.
     """
     # by id: the census shares one object per distinct polynomial
     cells: dict[int, tuple[int, str]] = {}
-    for e in entries:
-        if id(e.polynomial) not in cells:
-            cells[id(e.polynomial)] = _census_cell(e, table, structured)
     out = sys.stdout
     out.write("[" if structured else _CSV_HEADER)
     letter_text = _LETTER_TEXT.__getitem__
     separator = ""
     for e in entries:
-        components, poly_cell = cells[id(e.polynomial)]
+        cell = cells.get(id(e.polynomial))
+        if cell is None:
+            cell = cells[id(e.polynomial)] = _census_cell(e, table, structured)
+        components, poly_cell = cell
         n = len(e.word)
         word = " ".join(map(letter_text, e.word))
         if structured:

@@ -180,9 +180,8 @@ def _kind(word: Sequence[int]) -> str:
 class CensusEntry:
     """One symmetry orbit of minimal words: its key and its polynomial.
 
-    The other columns are properties read from the key: ``kind`` from its
-    first and largest letters, ``length``, ``components`` from its
-    permutation, and ``chi = 3 - length``.
+    The other columns are properties: ``components`` read from the
+    polynomial, and ``kind``, ``length`` and ``chi`` from the key.
     """
 
     word: Word  # canonical orbit representative
@@ -198,7 +197,8 @@ class CensusEntry:
 
     @property
     def components(self) -> int:
-        return closure_components(self.word)
+        """1 - min deg_z P: the lowest z-term of P is z^(1-c) times a nonzero factor (Lickorish-Millett)."""
+        return 1 - self.polynomial.min_deg_z()
 
     @property
     def chi(self) -> int:
@@ -363,7 +363,8 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
     only the first word of each inverse pair is evaluated; the other gets
     the mirror image of its polynomial.  Type-B words come one per orbit,
     so equal neighbours among the sorted keys are a bug, which
-    ``inverse_partners`` then names.
+    ``inverse_partners`` then names.  Each distinct polynomial's component
+    count is checked against the permutation of its first row.
     """
     if length > cap:
         # past the ceiling no --max-bands reaches the length
@@ -392,6 +393,15 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
         if before.word == entry.word:
             inverse_partners(length)
             raise ConsistencyError(f"orbit {render_word(entry.word)} is generated twice")
+    firsts: dict[int, CensusEntry] = {}  # by id: one object per distinct polynomial
+    for e in rows:
+        firsts.setdefault(id(e.polynomial), e)
+    for e in firsts.values():
+        if e.components != (walked := closure_components(e.word)):
+            raise ConsistencyError(
+                f"the polynomial of {render_word(e.word)} shows {e.components} components, "
+                f"its permutation {walked}"
+            )
     return rows
 
 
@@ -417,7 +427,10 @@ def genus_census(g: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:
     """All knot orbits of genus g (minimal length 2g + 2)."""
     if g < 0:
         raise ValueError("genus must be non-negative")
-    return [e for e in enumerate_minimal(2 * g + 2, cap=cap) if e.components == 1]
+    rows = enumerate_minimal(2 * g + 2, cap=cap)
+    # by id: the census shares one object per distinct polynomial, so each count is read once
+    knots = {i for i, e in {id(e.polynomial): e for e in rows}.items() if e.components == 1}
+    return [e for e in rows if id(e.polynomial) in knots]
 
 
 REASON_SEARCH = "exhaustive-search-miss"

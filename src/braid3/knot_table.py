@@ -45,17 +45,13 @@ class KnotTable:
         return None
 
     @cached_property
-    def _first_by_polynomial(self) -> dict[LaurentPoly2, tuple[int, str]]:
-        index: dict[LaurentPoly2, tuple[int, str]] = {}
-        for i, (name, poly, _) in enumerate(self.entries):
-            index.setdefault(poly, (i, name))
-        return index
+    def _first_by_polynomial(self) -> dict[LaurentPoly2, str]:
+        # each entry under its polynomial and its mirror image; the first entry is written last, so it wins
+        return {q: name for name, poly, _ in reversed(self.entries) for q in (poly, mirror_image(poly))}
 
     def match(self, p: LaurentPoly2) -> str | None:
         """First name whose polynomial equals p or its mirror image."""
-        index = self._first_by_polynomial
-        hits = [hit for hit in (index.get(p), index.get(mirror_image(p))) if hit]
-        return min(hits)[1] if hits else None
+        return self._first_by_polynomial.get(p)
 
 
 def _apply_convention(p: LaurentPoly2, convention: str) -> LaurentPoly2:

@@ -286,11 +286,27 @@ def test_twelve_band_census_output_is_pinned(capsys, fmt, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "adc173756dbe1517a3e4b31e464b6a65ad8f177343483bbab8c8623bd32d98b7"),
+        ("structured", "13a6bc450c6623f495549fa1a7a22b51415c2ef44f9ed53b46e29de79f887a19"),
+    ],
+    ids=["text", "structured"],
+)
+def test_genus_four_census_output_is_pinned(capsys, fmt, digest):
+    # the 2,662 knot rows of 10 bands, taken when --genus walked each row's
+    # permutation; keeping the rows by one read of each polynomial must not change a byte
+    code, out, _ = run_cli(capsys, "--format", fmt, "enumerate", "--genus", "4")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_census_component_count_disagreeing_with_the_permutation_exits_two(capsys, monkeypatch):
     # the count is read from the polynomial's lowest z-degree and checked
     # once per polynomial against its first row's permutation: [], of 3
     # components, passes, and [-3], the first row of length 1, does not
-    monkeypatch.setattr(cli, "closure_components", lambda word: 3)
+    monkeypatch.setattr(enumeration, "closure_components", lambda word: 3)
     code, out, err = run_cli(capsys, "enumerate", "--max-bands", "2")
     assert (code, out) == (2, "")
     assert err == "internal error: the polynomial of [-3] shows 2 components, its permutation 3\n"

@@ -325,6 +325,17 @@ class TestCensus:
         assert names == {"3_1", "4_1", "5_2"}
         assert len(census_classes(entries)) == 3
 
+    def test_every_census_consumer_gets_the_component_check(self, monkeypatch):
+        # the census reads each row's count from its polynomial and checks
+        # the first row of each polynomial against its permutation, so a
+        # walk that disagrees fails the genus census and the search alike
+        monkeypatch.setattr(enumeration, "closure_components", lambda word: 3)
+        message = r"the polynomial of \[[-0-9 ]*\] shows \d+ components, its permutation 3$"
+        with pytest.raises(ConsistencyError, match=message):
+            genus_census(1)
+        with pytest.raises(ConsistencyError, match=message):
+            realizable_3braid(homfly((1, 1, 1, 2)))
+
 
 class TestRealizability:
     def test_unknot_polynomial(self):

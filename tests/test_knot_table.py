@@ -1,5 +1,6 @@
 import pytest
 
+from braid3 import knot_table
 from braid3.enumeration import enumerate_minimal
 from braid3.errors import TableFormatError
 from braid3.hecke import homfly
@@ -57,6 +58,21 @@ def test_match_equals_linear_scan_on_census():
     for n in range(9):
         for entry in enumerate_minimal(n):
             assert table.match(entry.polynomial) == _match_by_scan(table, entry.polynomial)
+
+
+def test_match_computes_no_mirror_per_query(monkeypatch):
+    # the index holds each entry's mirror image, so after the first query
+    # a match is one lookup
+    table = make_table()
+    table.match(parse_poly("1"))
+
+    def no_mirror(p):
+        raise AssertionError("match computed a mirror image")
+
+    monkeypatch.setattr(knot_table, "mirror_image", no_mirror)
+    polys = {entry.polynomial for n in range(10) for entry in enumerate_minimal(n)}
+    for p in polys:
+        assert table.match(p) == _match_by_scan(table, p)
 
 
 def test_round_trip(tmp_path):
