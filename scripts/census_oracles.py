@@ -5,9 +5,9 @@ For each band length up to the cap this verifies:
     negative block equals ``canonical_key``, the search over every rotation
     and subscript shift, on every generated type-B normal form and its mate;
   * packed traces: the Burau trace of every census key, computed from
-    matrices packed at t = 2^K, equals the trace of the dense Burau
-    product of ``words.burau_step``, and every decoded coefficient stays
-    below 2^(K-2).
+    matrices packed at t = 2^K and trimmed by ``enumeration._Skeins.trace``,
+    equals the trace of the dense Burau product of ``words.burau_step``,
+    and every decoded coefficient stays below 2^(K-2).
 
 The last line gives the largest decoded coefficient magnitude.
 
@@ -72,14 +72,13 @@ def packed_traces(keys) -> int:
     decoded = {}  # (offset, packed trace) -> (offset, coefficients), decoded once
     largest = 0
     for key, dense in zip(keys, dense_traces(keys)):
-        lo, top, bottom = skeins.diagonal(key)
-        packed = lo, top + bottom
+        packed = skeins.trace(key)
         trace = decoded.get(packed)
         if trace is None:
-            digits = enumeration._digits(packed[1], key)
+            lo, x = packed
+            digits = enumeration._digits(x, key)
             largest = max([largest, *map(abs, digits)])
-            start = next((i for i, d in enumerate(digits) if d), 0)
-            trace = decoded[packed] = (lo + start, tuple(digits[start:])) if digits else (0, ())
+            trace = decoded[packed] = lo, tuple(digits)
         if trace != dense:
             raise ConsistencyError(f"packed trace differs from the Burau trace for {render_word(key)}")
     return largest

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on bad input, a file that cannot be read or
 written, or an inconclusive enumeration, 2 when an internal identity fails
-(a bug, not an input problem).
+(a bug, not an input problem).  From the console, 130 on an interrupt and
+141 when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import enumeration, invariants, knot_table, xu
@@ -240,13 +242,27 @@ def run(argv) -> int:
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise  # a closed stdout is the caller's to handle, not bad input
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early: send the rest of the output to devnull,
+        # so that the flush at exit does not raise again, and exit as a tool
+        # killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        code = 130
+    sys.exit(code)
 
 
 if __name__ == "__main__":

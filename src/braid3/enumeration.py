@@ -10,9 +10,12 @@ matters for quasipositivity.  The census's orbit set is the key set of
 ``inverse_partners``.
 
 The census reads each orbit's key and skein polynomial off the generated
-word in one pass: a type-B key from the word's negative block
-(``_type_b_key``), a type-A key by ``canonical_key``, and every Burau trace
-as one product of two packed integer matrices (``_Skeins``).
+word in one pass (``_orbit_pairs``): a type-B key from the word's negative
+block (``_type_b_key``), a type-A key by ``canonical_key``, with the type-A
+pairs made again in another subscript shift dropped there, so each inverse
+pair of orbits comes once.  Every Burau trace is one product of two packed
+integer matrices, trimmed to one integer (``_Skeins.trace``) and decoded
+once per distinct trace.
 
 The slow paths live in the test suite: ``tests/census_oracle.py`` holds the
 brute-force orbit set over all 6^n words, a completeness oracle for small n,
@@ -30,10 +33,7 @@ from typing import Iterator, Sequence
 
 from . import hecke, xu
 from .errors import CapExceededError, ConsistencyError
-from .invariants import (  # the law reason codes are imported from here too
-    REASON_BOTTOM_V, REASON_CHI, REASON_COMPONENTS, REASON_LEADING, REASON_MWF, REASON_PARITY, REASON_TOP_Z,
-    broken_laws,
-)
+from .invariants import broken_laws
 from .laurent import LaurentPoly2, mirror_image
 from .limits import MAX_BANDS_CEILING
 from .words import (
@@ -208,10 +208,11 @@ class CensusEntry:
 # ---------------------------------------------------------------------------
 # Burau traces by Kronecker substitution: a reduced Burau matrix evaluated at
 # t = 2^_K is four Python ints and a t-offset, and integer products multiply
-# the polynomials.  Every band letter's matrix, inverse letters included, has
-# row sums of coefficient L1 norms of at most 3, and that norm is
-# submultiplicative, so the diagonal entries and the trace of a word of
-# n <= MAX_BANDS_CEILING = 16 letters have coefficients below 2 * 3^16 < 2^27.
+# the polynomials exactly, so only the trace, the one value decoded, must
+# fit.  Every band letter's matrix, inverse letters included, has row sums
+# of coefficient L1 norms of at most 3, and that norm is submultiplicative,
+# so the trace of a word of n <= MAX_BANDS_CEILING = 16 letters has
+# coefficients below 2 * 3^16 < 2^27.
 # With _K = 32 each coefficient is one signed digit, and a decoded digit of
 # 2^(_K-2) or more means the bound failed.
 
@@ -248,15 +249,6 @@ def _digits(x: int, word: Sequence[int]) -> list[int]:
     return digits
 
 
-def _unpacked_trace(lo: int, top: int, bottom: int, word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """(offset, coefficients) of the trace of a packed diagonal, trimmed by ``hecke._trace``."""
-    top_digits, bottom_digits = _digits(top, word), _digits(bottom, word)
-    size = max(len(top_digits), len(bottom_digits))
-    top_digits += [0] * (size - len(top_digits))
-    bottom_digits += [0] * (size - len(bottom_digits))
-    return hecke._trace(lo, top_digits, bottom_digits)
-
-
 class _Skeins:
     """Skein polynomials of one length's normal forms, one object per distinct polynomial.
 
@@ -279,25 +271,30 @@ class _Skeins:
             m = self.blocks[block] = (o + p, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
         return m
 
-    def diagonal(self, word: Word) -> tuple[int, int, int]:
-        """(t-offset, top, bottom): the packed diagonal of the Burau matrix of ``word``."""
+    def trace(self, word: Word) -> tuple[int, int]:
+        """(lo, x): the Burau trace of ``word`` packed over t^lo, t^(lo+1), ..., trimmed.
+
+        Trimmed as ``hecke._trace`` trims: no zero lowest digit, and (0, 0)
+        for the zero trace, so each trace has one value.
+        """
         half = len(word) // 2
         o1, a1, b1, c1, d1 = self._block(word[:half])
         o2, a2, b2, c2, d2 = self._block(word[half:])
-        return o1 + o2, a1 * a2 + b1 * c2, c1 * b2 + d1 * d2
+        lo, x = o1 + o2, a1 * a2 + b1 * c2 + c1 * b2 + d1 * d2
+        if not x:
+            return 0, 0
+        while not x & _DIGIT:
+            x >>= _K
+            lo += 1
+        return lo, x
 
     def of(self, word: Word, e: int) -> LaurentPoly2:
         """P of the closure of ``word``, whose exponent sum is ``e``."""
-        diagonal = lo, top, bottom = self.diagonal(word)
-        x = top + bottom
-        while x and not x & _DIGIT:  # one key per trace: no zero lowest digit
-            x >>= _K
-            lo += 1
-        key = (e, lo, x)
-        poly = self.by_trace.get(key)
+        lo, x = self.trace(word)
+        poly = self.by_trace.get((e, lo, x))
         if poly is None:
-            poly = hecke._skein_from_trace(e, *_unpacked_trace(*diagonal, word), word)
-            poly = self.by_trace[key] = self.by_value.setdefault(poly, poly)
+            poly = hecke._skein_from_trace(e, lo, _digits(x, word), word)
+            poly = self.by_trace[e, lo, x] = self.by_value.setdefault(poly, poly)
         return poly
 
     def mirror(self, poly: LaurentPoly2) -> LaurentPoly2:
@@ -309,16 +306,20 @@ class _Skeins:
 
 
 def _orbit_pairs(length: int) -> Iterator[tuple[Word, Word, Word, Word, int]]:
-    """``(word, mate, key, mate_key, e)`` for each generated inverse pair, e the word's exponent sum.
+    """``(word, mate, key, mate_key, e)`` once for each inverse pair of orbits, e the word's exponent sum.
 
-    A type-A pair comes with its positive word first, so e = length for
-    type A and e < length for type B.  A pair whose type-A keys differ in
-    length or lack opposite exponent sums is a bug (the kind follows from
-    both: A+ at e = n, A- at e = -n, so this also checks that A+ and A-
-    swap).  Type-B keys are rotations of their shifted words, so they pass
-    by construction.
+    Type-A pairs come first, each with its positive word first, so e =
+    length for type A and e < length for type B.  The type-A words
+    ``delta^k R`` with k > 0 come in all three subscript shifts, so a
+    type-A pair met before, in another shift, is dropped here.  A pair
+    whose type-A keys differ in length or lack opposite exponent sums is a
+    bug (the kind follows from both: A+ at e = n, A- at e = -n, so this
+    also checks that A+ and A- swap), and so is an orbit paired with two
+    different orbits.  Type-B words come one per orbit, and their keys are
+    rotations of their shifted words, so they pass by construction.
     """
     starts: dict[Word, tuple[int, dict[int, int]]] = {}
+    partners: dict[Word, Word] = {}  # type-A orbits only
     left_len = 0
     words = generate_normal_forms(length)
     for word in words:
@@ -327,8 +328,10 @@ def _orbit_pairs(length: int) -> Iterator[tuple[Word, Word, Word, Word, int]]:
         if word and word[0] < 0:
             split = bisect_right(word, 0)
             if split != left_len:
-                # pairs come by left-factor length, so no negative block recurs after it changes
+                # pairs come by left-factor length, type A first, so no
+                # negative block or type-A orbit recurs after it changes
                 starts.clear()
+                partners.clear()
                 left_len = split
             yield word, mate, _type_b_key(word, starts), _type_b_key(mate, starts), length - 2 * split
             continue
@@ -337,22 +340,15 @@ def _orbit_pairs(length: int) -> Iterator[tuple[Word, Word, Word, Word, int]]:
             raise ConsistencyError(
                 f"{render_word(mate)} is not in the inverse orbit of {render_word(word)}"
             )
-        yield word, mate, key, mate_key, length
-
-
-def _pair_type_a(partners: dict[Word, Word], key: Word, mate_key: Word) -> bool:
-    """Record a type-A inverse pair; False when it was met before, in another shift.
-
-    An orbit paired with two different orbits is a bug.
-    """
-    new = key not in partners
-    for k, partner in ((key, mate_key), (mate_key, key)):
-        old = partners.setdefault(k, partner)
-        if old != partner:
-            raise ConsistencyError(
-                f"orbit {render_word(k)} has inverse orbits {render_word(old)} and {render_word(partner)}"
-            )
-    return new
+        new = key not in partners
+        for k, partner in ((key, mate_key), (mate_key, key)):
+            old = partners.setdefault(k, partner)
+            if old != partner:
+                raise ConsistencyError(
+                    f"orbit {render_word(k)} has inverse orbits {render_word(old)} and {render_word(partner)}"
+                )
+        if new:
+            yield word, mate, key, mate_key, length
 
 
 def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:
@@ -375,19 +371,13 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
         )
         raise CapExceededError(f"length {length} exceeds the enumeration cap {cap}{advice}")
     skeins = _Skeins()
-    partners: dict[Word, Word] = {}  # type-A orbits only
     rows: list[CensusEntry] = []
     for word, _, key, mate_key, e in _orbit_pairs(length):
-        if e == length:
-            if not _pair_type_a(partners, key, mate_key):
-                continue
-        elif partners:
-            partners.clear()  # every type-A pair comes before the first type-B pair
         poly = skeins.of(word, e)
         rows.append(CensusEntry(key, poly))
         if word:
             rows.append(CensusEntry(mate_key, skeins.mirror(poly)))
-    del skeins, partners  # free the caches before the sort allocates
+    del skeins  # free the caches before the sort allocates
     rows.sort(key=attrgetter("word"))
     for before, entry in itertools.pairwise(rows):
         if before.word == entry.word:
@@ -412,12 +402,10 @@ def inverse_partners(length: int) -> dict[Word, Word]:
     names the word behind a repeated type-B orbit.
     """
     partners: dict[Word, Word] = {}
-    for word, mate, key, mate_key, e in _orbit_pairs(length):
-        if e == length:
-            _pair_type_a(partners, key, mate_key)
-            continue
+    for word, mate, key, mate_key, _ in _orbit_pairs(length):
         for w, k, partner in ((word, key, mate_key), (mate, mate_key, key)):
-            if k in partners:
+            # the empty word is its own inverse and comes alone
+            if w and k in partners:
                 raise ConsistencyError(f"type-B word {render_word(w)} repeats orbit {render_word(k)}")
             partners[k] = partner
     return partners

@@ -13,17 +13,17 @@ import time
 
 import pytest
 
-from braid3.enumeration import (
+from braid3.enumeration import REASON_SEARCH, enumerate_minimal, genus_census, realizable_3braid
+from braid3.hecke import homfly, pretzel_homfly, trace_table_from_oracle
+from braid3.invariants import (
+    ONE_PLUS_V2,
+    OTHER,
     REASON_LEADING,
     REASON_MWF,
     REASON_PARITY,
-    REASON_SEARCH,
-    enumerate_minimal,
-    genus_census,
-    realizable_3braid,
+    THREE_UNLINK_SQUARE,
+    classify_leading_coefficient,
 )
-from braid3.hecke import homfly, pretzel_homfly, trace_table_from_oracle
-from braid3.invariants import ONE_PLUS_V2, OTHER, THREE_UNLINK_SQUARE, classify_leading_coefficient
 from braid3.knot_table import load_table, make_table
 from braid3.laurent import mirror_image, parse_poly
 from braid3.words import dual, exponent_sum, parse_word

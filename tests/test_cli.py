@@ -3,8 +3,10 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -100,6 +102,35 @@ def test_module_runs_the_cli(capsys):
     done = module("torus", "x")
     assert done.returncode == 1
     assert done.stderr.startswith("error:")
+
+
+def _console(*argv):
+    """The CLI as its own process, stdout and stderr piped."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.Popen(
+        [sys.executable, "-m", "braid3.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+
+
+def test_closed_stdout_exits_141_silently():
+    # a reader that stops early, as `| head -1` does, is normal use of a
+    # command that writes its rows one at a time
+    proc = _console("enumerate", "--max-bands", "10")
+    assert proc.stdout.readline() == b"length,word,kind,components,chi,polynomial,name\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_interrupt_exits_130_with_one_line():
+    # the 14-band census takes seconds to build and writes nothing before it is complete
+    proc = _console("enumerate", "--max-bands", "14")
+    time.sleep(0.5)
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 130
+    assert b"Traceback" not in err
+    assert (out, err) == (b"", b"interrupted\n")
 
 
 def test_long_torus_and_pretzel_exit_zero(capsys):
@@ -484,7 +515,15 @@ def test_corrupted_trace_exits_two(capsys, monkeypatch):
         lo, coeffs = trace(*matrix)
         return lo, (coeffs[0] + 1,) + coeffs[1:]
 
+    # the census decodes its own packed traces: add 1 to the lowest digit
+    packed = enumeration._Skeins.trace
+
+    def corrupted_packed(skeins, word):
+        lo, x = packed(skeins, word)
+        return lo, x + 1
+
     monkeypatch.setattr(hecke, "_trace", corrupted)
+    monkeypatch.setattr(enumeration._Skeins, "trace", corrupted_packed)
     # the error names the input word; the census names its first orbit, [].
     for argv, word in (
         (["homfly", "[1 1 1 2]"], "[1 1 1 2]"),

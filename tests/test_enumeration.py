@@ -11,9 +11,6 @@ from hypothesis import strategies as st
 from braid3 import enumeration, xu
 from braid3.cli import run
 from braid3.enumeration import (
-    REASON_LEADING,
-    REASON_MWF,
-    REASON_PARITY,
     REASON_SEARCH,
     CensusEntry,
     canonical_key,
@@ -26,6 +23,7 @@ from braid3.enumeration import (
 )
 from braid3.errors import CapExceededError, ConsistencyError
 from braid3.hecke import homfly
+from braid3.invariants import REASON_LEADING, REASON_MWF, REASON_PARITY
 from braid3.knot_table import make_table
 from braid3.laurent import mirror_image, parse_poly
 from braid3.words import DELTA, DELTA_INV, cyclic_rotate, inverse, permutation
@@ -215,6 +213,9 @@ class TestInversePairs:
                 assert (partner == key) == (key == ())
             evaluated += sum(key <= partner for key, partner in partners.items())
         assert evaluated == 7_997
+        # the census pass yields each of those pairs once
+        keys = [key for n in range(0, 12) for _, _, key, _, _ in enumeration._orbit_pairs(n)]
+        assert len(keys) == len(set(keys)) == 7_997
 
     def test_inverse_closure_has_the_mirror_polynomial(self):
         # the identity the census relies on, checked without it

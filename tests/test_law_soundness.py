@@ -12,18 +12,16 @@ import random
 import pytest
 
 from braid3 import enumeration
-from braid3.enumeration import (
+from braid3.enumeration import REASON_SEARCH, enumerate_minimal, realizable_3braid
+from braid3.invariants import (
     REASON_BOTTOM_V,
     REASON_CHI,
     REASON_COMPONENTS,
     REASON_LEADING,
     REASON_MWF,
     REASON_PARITY,
-    REASON_SEARCH,
-    enumerate_minimal,
-    realizable_3braid,
+    broken_laws,
 )
-from braid3.invariants import broken_laws
 from braid3.laurent import LaurentPoly2, mirror_image
 
 MAX_BANDS = 10
