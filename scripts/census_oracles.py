@@ -1,27 +1,36 @@
-"""Check the census's two shortcuts against their slow paths, length by length.
+"""Check the census against its slow paths, length by length.
 
-For each band length up to the cap this verifies:
+This is the census's one slow-path check.  For each band length up to the
+cap it verifies:
   * block keys: the key that ``enumeration._type_b_key`` reads off the
     negative block equals ``canonical_key``, the search over every rotation
     and subscript shift, on every generated type-B normal form and its mate;
   * packed traces: the Burau trace of every census key, computed from
     matrices packed at t = 2^K and trimmed by ``enumeration._Skeins.trace``,
     equals the trace of the dense Burau product of ``words.burau_step``,
-    and every decoded coefficient stays below 2^(K-2).
+    and every decoded coefficient stays below 2^(K-2);
+  * rows: the keys of ``enumerate_minimal`` are the sorted ``canonical_key``
+    set of every generated word (not the census's own pairing pass), each
+    row's polynomial is ``homfly`` of its key (``hecke._skein_from_trace``
+    of the key's exponent sum and dense trace, converted once per distinct
+    pair), so the mirrored mates are checked too, and the length holds one
+    object per distinct polynomial.
 
-The last line gives the largest decoded coefficient magnitude.
+A mismatch raises ``ConsistencyError`` naming the word.  The last line
+gives the largest decoded coefficient magnitude.
 
 Usage:  python scripts/census_oracles.py [--max-bands N]
 """
 
 import argparse
+import itertools
 import sys
 import time
 
 from braid3 import enumeration, hecke
-from braid3.enumeration import canonical_key, generate_normal_forms
+from braid3.enumeration import canonical_key, enumerate_minimal, generate_normal_forms
 from braid3.errors import ConsistencyError
-from braid3.words import BURAU_ONE, burau_step, render_word, to_artin
+from braid3.words import BURAU_ONE, burau_step, exponent_sum, render_word, to_artin
 
 
 def orbit_keys(length: int) -> tuple[list[tuple[int, ...]], int]:
@@ -66,10 +75,11 @@ def dense_traces(words):
         yield hecke._trace(lo, a, d)
 
 
-def packed_traces(keys) -> int:
-    """The largest decoded |coefficient| of the packed traces of sorted ``keys``; a mismatch raises."""
+def packed_traces(keys) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
+    """(dense trace of each of the sorted ``keys``, largest decoded |coefficient|); a packed trace that differs raises."""
     skeins = enumeration._Skeins()
     decoded = {}  # (offset, packed trace) -> (offset, coefficients), decoded once
+    traces = []
     largest = 0
     for key, dense in zip(keys, dense_traces(keys)):
         packed = skeins.trace(key)
@@ -81,7 +91,27 @@ def packed_traces(keys) -> int:
             trace = decoded[packed] = lo, tuple(digits)
         if trace != dense:
             raise ConsistencyError(f"packed trace differs from the Burau trace for {render_word(key)}")
-    return largest
+        traces.append(dense)
+    return traces, largest
+
+
+def check_rows(rows, keys, traces) -> None:
+    """Raise unless ``rows`` are the ``keys`` in order, each with ``homfly`` of its key, one object per polynomial."""
+    for row, key in itertools.zip_longest(rows, keys):
+        if row is None or row.word != key:
+            named = key if row is None else row.word
+            raise ConsistencyError(f"census rows differ from the orbit keys at {render_word(named)}")
+    by_pair = {}  # (exponent sum, offset, trace) -> polynomial, converted once
+    objects = {}  # polynomial -> the first row's object
+    for row, trace in zip(rows, traces):
+        pair = (exponent_sum(row.word), *trace)
+        expected = by_pair.get(pair)
+        if expected is None:
+            expected = by_pair[pair] = hecke._skein_from_trace(*pair, row.word)
+        if row.polynomial != expected:
+            raise ConsistencyError(f"census polynomial differs from homfly for {render_word(row.word)}")
+        if objects.setdefault(row.polynomial, row.polynomial) is not row.polynomial:
+            raise ConsistencyError(f"census polynomial of {render_word(row.word)} is a second object")
 
 
 def main() -> int:
@@ -94,7 +124,8 @@ def main() -> int:
     for n in range(args.max_bands + 1):
         t0 = time.perf_counter()
         keys, words = orbit_keys(n)
-        top = packed_traces(keys)
+        traces, top = packed_traces(keys)
+        check_rows(enumerate_minimal(n, cap=args.max_bands), keys, traces)
         largest = max(largest, top)
         print(f"{n:>5} {words:>7} {len(keys):>7} {top:>8} {time.perf_counter() - t0:>8.2f}")
     print(f"block keys and packed traces agree up to {args.max_bands} bands; largest |coefficient| {largest}")

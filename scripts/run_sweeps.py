@@ -1,13 +1,9 @@
 """Sweep every minimal-word orbit up to a band cap and check the degree laws.
 
 For each length this verifies, orbit by orbit:
-  * the laws of ``braid3.invariants.broken_laws``, through ``check_laws``,
-    in their order: the MWF bound is at most 3, every z-degree has the
-    parity of 1 - components, max deg_z P = length - 2 (so the genus is
-    visible in the polynomial), the z-leading coefficient lies in the
-    allowed unit classes, min deg_v P <= max deg_z P, the leading
-    coefficient is -(1 + v^2) only for 2 components, (1 - v^2)^2 only
-    on the empty word, and max deg_z P >= -2 (chi <= 3),
+  * every law of ``braid3.invariants.broken_laws``, in its order, through
+    ``check_laws`` with the orbit's chi (the list and its reasons are
+    written there once),
   * the component count read from the polynomial, 1 - min deg_z P, equals
     the permutation's cycle count (the census checks one row per
     polynomial; the sweep checks every orbit),

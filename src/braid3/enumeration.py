@@ -17,10 +17,13 @@ pair of orbits comes once.  Every Burau trace is one product of two packed
 integer matrices, trimmed to one integer (``_Skeins.trace``) and decoded
 once per distinct trace.
 
-The slow paths live in the test suite: ``tests/census_oracle.py`` holds the
-brute-force orbit set over all 6^n words, a completeness oracle for small n,
-the former prefix-sharing evaluation, and the grouping of census entries by
-polynomial up to mirror image.
+The slow paths live outside the package.  ``scripts/census_oracles.py`` is
+the census's one slow-path check: block keys against ``canonical_key``,
+packed traces against dense Burau products, and the rows against the
+``canonical_key`` set and ``homfly`` of each key.  ``tests/census_oracle.py``
+holds the brute-force orbit set over all 6^n words, a completeness oracle
+for small n, and the grouping of census entries by polynomial up to mirror
+image.
 """
 
 from __future__ import annotations

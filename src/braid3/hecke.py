@@ -23,8 +23,8 @@ symmetric under s -> -s^{-1}, to z through s^j + (-1)^j s^{-j} = L_j(z) with
 L_j = z L_(j-1) + L_(j-2).  A division that leaves a remainder or a
 quotient that is not symmetric means a broken identity and raises
 ``ConsistencyError`` naming the word.  The census (``enumeration``) takes
-its traces from Burau matrices packed into integers and converts them
-through the same ``_trace`` and ``_skein_from_trace``.
+its traces from Burau matrices packed into integers, trims and decodes them
+itself (``_Skeins.trace``), and shares only ``_skein_from_trace``.
 
 At import time the six basis braids 1, a, b, ab, ba, aba must give the
 closure values that ``trace_table_from_oracle`` rederives from closed

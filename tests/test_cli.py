@@ -293,8 +293,9 @@ def test_census_output_equals_one_dump_of_all_rows(capsys, escaped_table, option
     ids=["text", "structured"],
 )
 def test_ten_band_census_output_is_pinned(capsys, fmt, digest):
-    # taken when homfly_many evaluated every orbit; evaluating one orbit per
-    # inverse pair and mirroring the other must not change a byte
+    # taken when every orbit was evaluated by its own Burau product;
+    # evaluating one orbit per inverse pair and mirroring the other must not
+    # change a byte
     code, out, _ = run_cli(capsys, "--format", fmt, "enumerate", "--max-bands", "10")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -223,15 +223,6 @@ class TestInversePairs:
             for key in constructive_orbits(n):
                 assert homfly(inverse(key)) == mirror_image(homfly(key)), key
 
-    def test_rows_equal_a_per_key_evaluation(self):
-        for n in range(0, 12):
-            rows = enumerate_minimal(n)
-            assert [e.word for e in rows] == sorted(constructive_orbits(n)), n
-            for e in rows:
-                assert e.polynomial == homfly(e.word), e.word
-            # one object per distinct polynomial, mirrors included
-            assert len({id(e.polynomial) for e in rows}) == len({e.polynomial for e in rows}), n
-
     def test_pair_with_unswapped_signs_is_a_consistency_error(self, monkeypatch, capsys):
         # [1] and [-1] are the one pair of length 1; a key that sends [-1]
         # to [1] gives both halves the exponent sum +1
@@ -274,8 +265,10 @@ class TestCensusShortcuts:
     def test_oracles_script_to_twelve_bands(self):
         # block keys against canonical_key on every type-B normal form and
         # its mate, packed traces against dense Burau traces on every census
-        # key; 52 is the largest decoded coefficient of 0-12 bands, far below
-        # the 2^30 at which decoding raises
+        # key, and the rows of enumerate_minimal against the sorted
+        # canonical_key set, homfly of each key (mirrored mates included) and
+        # one object per distinct polynomial; 52 is the largest decoded
+        # coefficient of 0-12 bands, far below the 2^30 at which decoding raises
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         done = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "census_oracles.py"), "--max-bands", "12"],

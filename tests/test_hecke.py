@@ -23,7 +23,7 @@ from braid3.laurent import (
 )
 from braid3.words import dual, exponent_sum, mirror, parse_word, render_word
 from braid3.xu import reduce
-from census_oracle import constructive_orbits, homfly_many
+from census_oracle import constructive_orbits
 from conftest import random_word, words_st
 from fold_oracle import TRACE_TABLE, fold_homfly, fold_word
 from word_helpers import concat
@@ -92,10 +92,6 @@ class TestBasisSelfCheck:
             with pytest.raises(ConsistencyError, match="divide exactly") as info:
                 homfly(w)
             assert str(info.value).endswith(f" for {render_word(w)}")
-        # homfly_many names the first word with the broken (e, T)
-        with pytest.raises(ConsistencyError) as info:
-            homfly_many([(1, 2), (1, 2, 3)])
-        assert str(info.value).endswith(" for [1 2]")
         with pytest.raises(ConsistencyError):
             hecke._check_basis_closures()
 
@@ -134,11 +130,23 @@ class TestSkeinOracle:
         assert skein_oracle((1, -1, 1)) == skein_oracle((1,))
 
 
+def _homfly_by_basis_products(word):
+    # pair the folded vector with the trace table in LaurentPoly2 arithmetic
+    out = LaurentPoly2.zero()
+    for coeff, closed in zip(fold_word(word), TRACE_TABLE):
+        out = out + coeff * closed
+    return out
+
+
 class TestHomfly:
     def test_unlinks(self):
         d = delta_unlink_factor()
         assert homfly(()) == d * d
         assert homfly((1,)) == d
+
+    @given(words_st)
+    def test_raw_closing_equals_polynomial_pairing(self, w):
+        assert homfly(w) == _homfly_by_basis_products(w)
 
     def test_unknot(self):
         assert homfly((1, 2)) == LaurentPoly2.one()
@@ -345,47 +353,3 @@ class TestIterativeEqualsRecursive:
     )
     def test_pretzel(self, twists):
         assert pretzel_homfly(twists) == _pretzel_recursive(twists)
-
-
-def _homfly_by_basis_products(word):
-    # pair the folded vector with the trace table in LaurentPoly2 arithmetic
-    out = LaurentPoly2.zero()
-    for coeff, closed in zip(fold_word(word), TRACE_TABLE):
-        out = out + coeff * closed
-    return out
-
-
-class TestHomflyMany:
-    @given(words_st)
-    def test_raw_closing_equals_polynomial_pairing(self, w):
-        assert homfly(w) == _homfly_by_basis_products(w)
-
-    def test_sorted_reversed_shuffled(self, orbit_keys):
-        expected = {w: homfly(w) for w in orbit_keys}
-        folded = {w: fold_homfly(w) for w in orbit_keys}
-        shuffled = list(orbit_keys)
-        random.Random(1987).shuffle(shuffled)
-        for words in (orbit_keys, orbit_keys[::-1], shuffled):
-            got = homfly_many(words)
-            assert got == [expected[w] for w in words]
-            assert got == [folded[w] for w in words]
-
-    def test_one_object_per_distinct_polynomial(self, orbit_keys):
-        # [1] and [-1] differ in exponent sum and trace but both close to the
-        # 2-component unlink; the census renders and names each object once
-        polys = homfly_many(orbit_keys)
-        assert len({id(p) for p in polys}) == len(set(polys))
-        one, minus_one = homfly_many([(1,), (-1,)])
-        assert one is minus_one
-
-    def test_duplicates_and_empty_word(self):
-        words = [(), (1, 2), (1, 2), (), (1, 2, 3), (1,), (1, 2), (), (-3, 1, -2)]
-        words += RUN_SEAM_WORDS
-        got = homfly_many(words)
-        assert got == [homfly(w) for w in words]
-        assert got == [fold_homfly(w) for w in words]
-        assert homfly_many([]) == []
-
-    def test_long_mixed_words_equal_fold(self, long_mixed_words):
-        words = long_mixed_words + long_mixed_words[:3] + [()]
-        assert homfly_many(words) == [fold_homfly(w) for w in words]
