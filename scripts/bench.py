@@ -54,13 +54,6 @@ def parse_run(stdout: str, label: str) -> tuple[dict, dict]:
     return record["environment"], result
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
-
-
 def summarize(runs: dict[str, dict[int, list[tuple[str, str]]]], end_to_end: list[dict]) -> dict:
     """Per workload, seed and metric: both sides' runs, quartiles and the pairs the change won.
 
@@ -79,7 +72,7 @@ def summarize(runs: dict[str, dict[int, list[tuple[str, str]]]], end_to_end: lis
                 row: dict = {"unit": spec["unit"], "better": spec["better"]}
                 for i, side in enumerate(SIDES):
                     values = [pair[i]["metrics"][name]["value"] for pair in results]
-                    q1, median, q3 = quartiles(values)
+                    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
                     row[side] = {"runs": values, "q1": q1, "median": median, "q3": q3}
                 sign = 1 if spec["better"] == "higher" else -1
                 row["pairs_won"] = sum(

@@ -60,8 +60,9 @@ def test_summary_of_canned_pairs():
 
 @pytest.mark.parametrize("stdout", [run_lines(10.0, 20.0, correct=False), "error: timed out\n", ""])
 def test_a_run_without_a_correct_result_fails(stdout):
-    with pytest.raises(bench.BenchFailure, match="census seed 7919 change pair 0"):
-        bench.summarize({"census": {7919: [(run_lines(10.0, 20.0), stdout)]}}, END_TO_END)
+    good = run_lines(10.0, 20.0)
+    with pytest.raises(bench.BenchFailure, match="census seed 7919 change pair 1"):
+        bench.summarize({"census": {7919: [(good, good), (good, stdout)]}}, END_TO_END)
 
 
 def test_previous_bench_is_the_newest_earlier_file(tmp_path):
@@ -73,8 +74,8 @@ def test_previous_bench_is_the_newest_earlier_file(tmp_path):
 
 
 def test_comparison_reads_the_change_medians():
-    summary = bench.summarize({"census": {1: [(run_lines(10.0, 20.0), run_lines(12.0, 19.0))]}}, END_TO_END)
-    earlier = bench.summarize({"census": {1: [(run_lines(8.0, 20.0), run_lines(9.0, 21.0))]}}, END_TO_END)
+    summary = bench.summarize({"census": {1: [(run_lines(10.0, 20.0), run_lines(12.0, 19.0))] * 2}}, END_TO_END)
+    earlier = bench.summarize({"census": {1: [(run_lines(8.0, 20.0), run_lines(9.0, 21.0))] * 2}}, END_TO_END)
     assert bench.comparison({"workloads": earlier}, {"workloads": summary}) == [
         "census seed 1 ops_per_s: 9 -> 12 1/s",
         "census seed 1 peak_rss_mb: 21 -> 19 MB",
