@@ -1,7 +1,7 @@
-"""Check the census against its slow paths, length by length.
+"""Check the census against its slow paths and the laws, length by length.
 
-This is the census's one slow-path check.  For each band length up to the
-cap it verifies:
+This is the census's one check.  For each band length up to the cap it
+verifies:
   * block keys: the key that ``enumeration._type_b_key`` reads off the
     negative block equals ``canonical_key``, the search over every rotation
     and subscript shift, on every generated type-B normal form and its mate;
@@ -14,12 +14,18 @@ cap it verifies:
     row's polynomial is ``homfly`` of its key (``hecke._skein_from_trace``
     of the key's exponent sum and dense trace, converted once per distinct
     pair), so the mirrored mates are checked too, and the length holds one
-    object per distinct polynomial.
+    object per distinct polynomial;
+  * laws, on every orbit: the component count read from the polynomial,
+    1 - min deg_z P, equals the permutation's cycle count, every law of
+    ``invariants.broken_laws`` holds through ``check_laws`` with the
+    orbit's chi, and the strong-quasipositivity criterion (PMCF) implies a
+    positive band form.
 
-A mismatch raises ``ConsistencyError`` naming the word.  The last line
-gives the largest decoded coefficient magnitude.
+A mismatch raises ``ConsistencyError`` naming the word.  The line before
+the last counts the orbits held to the laws; the last gives the largest
+decoded coefficient magnitude.
 
-Usage:  python scripts/census_oracles.py [--max-bands N]
+Usage:  python scripts/census_oracles.py [--max-bands N]   (0 <= N <= 16)
 """
 
 import argparse
@@ -30,7 +36,10 @@ import time
 from braid3 import enumeration, hecke
 from braid3.enumeration import canonical_key, enumerate_minimal, generate_normal_forms
 from braid3.errors import ConsistencyError
-from braid3.words import BURAU_ONE, burau_step, exponent_sum, render_word, to_artin
+from braid3.invariants import check_laws, pmcf_predicate
+from braid3.limits import MAX_BANDS_CEILING
+from braid3.words import BURAU_ONE, burau_step, closure_components, exponent_sum, render_word, to_artin
+from braid3.xu import is_strongly_quasipositive
 
 
 def orbit_keys(length: int) -> tuple[list[tuple[int, ...]], int]:
@@ -95,8 +104,22 @@ def packed_traces(keys) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
     return traces, largest
 
 
+def check_orbit(entry) -> None:
+    """Raise unless ``entry`` has its permutation's components, keeps every law and, under PMCF, a positive band form."""
+    components = closure_components(entry.word)
+    if entry.components != components:
+        word = render_word(entry.word)
+        raise ConsistencyError(f"components from min deg_z P differ from the permutation's for {word}")
+    check_laws(entry.polynomial, entry.chi, entry.word, components)
+    if pmcf_predicate(entry.polynomial) and is_strongly_quasipositive(entry.word) == "no":
+        raise ConsistencyError(f"PMCF holds but {render_word(entry.word)} has no positive band form")
+
+
 def check_rows(rows, keys, traces) -> None:
-    """Raise unless ``rows`` are the ``keys`` in order, each with ``homfly`` of its key, one object per polynomial."""
+    """Raise unless ``rows`` are the ``keys`` in order, each with ``homfly`` of its key, one object per polynomial.
+
+    Each row is also held to the laws by ``check_orbit``.
+    """
     for row, key in itertools.zip_longest(rows, keys):
         if row is None or row.word != key:
             named = key if row is None else row.word
@@ -112,22 +135,29 @@ def check_rows(rows, keys, traces) -> None:
             raise ConsistencyError(f"census polynomial differs from homfly for {render_word(row.word)}")
         if objects.setdefault(row.polynomial, row.polynomial) is not row.polynomial:
             raise ConsistencyError(f"census polynomial of {render_word(row.word)} is a second object")
+        check_orbit(row)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-bands", type=int, default=12)
     args = parser.parse_args()
+    if not 0 <= args.max_bands <= MAX_BANDS_CEILING:
+        parser.error(f"--max-bands must be 0..{MAX_BANDS_CEILING}, not {args.max_bands}")
 
-    largest = 0
-    print(f"{'bands':>5} {'type-B':>7} {'keys':>7} {'|coeff|':>8} {'seconds':>8}")
+    largest = orbits = 0
+    print(f"{'bands':>5} {'type-B':>7} {'keys':>7} {'knots':>6} {'|coeff|':>8} {'seconds':>8}")
     for n in range(args.max_bands + 1):
         t0 = time.perf_counter()
         keys, words = orbit_keys(n)
         traces, top = packed_traces(keys)
-        check_rows(enumerate_minimal(n, cap=args.max_bands), keys, traces)
+        rows = enumerate_minimal(n, cap=args.max_bands)
+        check_rows(rows, keys, traces)
+        knots = sum(row.components == 1 for row in rows)
         largest = max(largest, top)
-        print(f"{n:>5} {words:>7} {len(keys):>7} {top:>8} {time.perf_counter() - t0:>8.2f}")
+        orbits += len(rows)
+        print(f"{n:>5} {words:>7} {len(keys):>7} {knots:>6} {top:>8} {time.perf_counter() - t0:>8.2f}")
+    print(f"all degree and coefficient laws hold on {orbits} orbits")
     print(f"block keys and packed traces agree up to {args.max_bands} bands; largest |coefficient| {largest}")
     return 0
 

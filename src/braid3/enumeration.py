@@ -18,9 +18,10 @@ integer matrices, trimmed to one integer (``_Skeins.trace``) and decoded
 once per distinct trace.
 
 The slow paths live outside the package.  ``scripts/census_oracles.py`` is
-the census's one slow-path check: block keys against ``canonical_key``,
-packed traces against dense Burau products, and the rows against the
-``canonical_key`` set and ``homfly`` of each key.  ``tests/census_oracle.py``
+the census's one check: block keys against ``canonical_key``, packed
+traces against dense Burau products, the rows against the
+``canonical_key`` set and ``homfly`` of each key, and every orbit against
+the laws of ``invariants.broken_laws``.  ``tests/census_oracle.py``
 holds the brute-force orbit set over all 6^n words, a completeness oracle
 for small n, and the grouping of census entries by polynomial up to mirror
 image.

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,14 +27,28 @@ from braid3.hecke import homfly
 from braid3.invariants import REASON_LEADING, REASON_MWF, REASON_PARITY
 from braid3.knot_table import make_table
 from braid3.laurent import mirror_image, parse_poly
-from braid3.words import DELTA, DELTA_INV, cyclic_rotate, inverse, permutation
+from braid3.words import DELTA, DELTA_INV, cyclic_rotate, inverse, permutation, render_word
 from braid3.xu import reduce
-from census_oracle import brute_force_orbits, census_classes, constructive_orbits
+from census_oracle import census_classes, constructive_orbits
 from conftest import random_word, words_st
 from pretzel_check import braid_index_check_pretzel
 from word_helpers import shift_indices
 
 ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("census_oracles", ROOT / "scripts" / "census_oracles.py")
+census_oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(census_oracles)
+
+
+def run_oracles_script(max_bands):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "census_oracles.py"), "--max-bands", str(max_bands)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 def canonical_key_by_definition(word):
@@ -133,10 +148,6 @@ class TestGeneration:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             enumerate_minimal(15)
-
-    def test_completeness_small(self):
-        for n in range(0, 5):
-            assert brute_force_orbits(n) == constructive_orbits(n)
 
     def test_one_type_b_word_per_orbit_against_all_shifts(self):
         # the same orbits (so the same census rows, whose kind is read from
@@ -245,42 +256,57 @@ class TestInversePairs:
             enumerate_minimal(2)
 
 
-class TestSweep:
-    def test_run_sweeps_script(self):
-        # the one sweep: every degree law, the sign rule and the PMCF law on
-        # all 1,505 orbits of 0-8 bands
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        done = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "run_sweeps.py"), "--max-bands", "8"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "all degree and coefficient laws hold on 1505 orbits"
-
-
 class TestCensusShortcuts:
     def test_oracles_script_to_twelve_bands(self):
         # block keys against canonical_key on every type-B normal form and
         # its mate, packed traces against dense Burau traces on every census
         # key, and the rows of enumerate_minimal against the sorted
         # canonical_key set, homfly of each key (mirrored mates included) and
-        # one object per distinct polynomial; 52 is the largest decoded
-        # coefficient of 0-12 bands, far below the 2^30 at which decoding raises
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        done = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "census_oracles.py"), "--max-bands", "12"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        # one object per distinct polynomial; on all 34,661 orbits of 0-12
+        # bands the component count, every degree law, the sign rule and the
+        # PMCF law; 52 is the largest decoded coefficient of 0-12 bands, far
+        # below the 2^30 at which decoding raises
+        done = run_oracles_script(12)
         assert done.returncode == 0, done.stderr
-        last = done.stdout.splitlines()[-1]
+        *_, laws, last = done.stdout.splitlines()
+        assert laws == "all degree and coefficient laws hold on 34661 orbits"
         assert last == "block keys and packed traces agree up to 12 bands; largest |coefficient| 52"
         assert 52 < 2 ** (enumeration._K - 2)
+
+    @pytest.mark.parametrize("max_bands", [-1, 17])
+    def test_oracles_script_refuses_a_cap_it_cannot_check(self, max_bands):
+        # argparse's usage error, before the table header or any census
+        done = run_oracles_script(max_bands)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "--max-bands must be 0..16" in done.stderr
+
+    @pytest.mark.parametrize(
+        "row, fault",
+        [
+            # an unknot's polynomial on a 4-band knot: max deg_z P is 0, not 1 - chi = 2
+            (CensusEntry((1, 2, 1, 2), homfly((1, 2))), "top z-degree"),
+            # one component read from P, two from the permutation
+            (CensusEntry((1, 1, 2), homfly((1, 2))), "components from min deg_z P"),
+            # the trefoil's polynomial keeps every law and meets PMCF on a word with no positive band form
+            (CensusEntry((-3, -3, 1), homfly((1, 1, 1))), "PMCF"),
+        ],
+    )
+    def test_law_checks_name_a_doctored_row(self, row, fault):
+        with pytest.raises(ConsistencyError, match=fault) as raised:
+            census_oracles.check_orbit(row)
+        assert render_word(row.word) in str(raised.value)
+
+    def test_check_rows_holds_every_row_to_the_laws(self, monkeypatch):
+        # the orbit count of the laws line is len(rows), so only this shows
+        # that check_rows hands each row to check_orbit
+        held = []
+        monkeypatch.setattr(census_oracles, "check_orbit", held.append)
+        keys, _ = census_oracles.orbit_keys(6)
+        traces, _ = census_oracles.packed_traces(keys)
+        rows = enumerate_minimal(6)
+        census_oracles.check_rows(rows, keys, traces)
+        assert held == rows
 
     def test_block_key_of_the_length_two_pair(self):
         # [-1 3] is [-3 2] shifted by 2: its least start is its one letter
