@@ -6,8 +6,8 @@ and mixed L^{-1} R with both sides nonempty, non-decreasing and cyclically
 reduced.  Words are identified up to the closure symmetries that preserve
 every computed invariant: cyclic rotation and the subscript shift
 (conjugation by delta).  Mirrors are kept distinct because chirality
-matters for quasipositivity.  The census's orbit set is the key set of
-``inverse_partners``.
+matters for quasipositivity.  The census's orbit set is the keys of the
+census pass.
 
 The census reads each orbit's key and skein polynomial off the generated
 word in one pass (``_orbit_pairs``): a type-B key from the word's negative
@@ -309,8 +309,8 @@ class _Skeins:
         return m
 
 
-def _orbit_pairs(length: int) -> Iterator[tuple[Word, Word, Word, Word, int]]:
-    """``(word, mate, key, mate_key, e)`` once for each inverse pair of orbits, e the word's exponent sum.
+def _orbit_pairs(length: int) -> Iterator[tuple[Word, Word, Word, int]]:
+    """``(word, key, mate_key, e)`` once for each inverse pair of orbits, e the word's exponent sum.
 
     Type-A pairs come first, each with its positive word first, so e =
     length for type A and e < length for type B.  The type-A words
@@ -337,7 +337,7 @@ def _orbit_pairs(length: int) -> Iterator[tuple[Word, Word, Word, Word, int]]:
                 starts.clear()
                 partners.clear()
                 left_len = split
-            yield word, mate, _type_b_key(word, starts), _type_b_key(mate, starts), length - 2 * split
+            yield word, _type_b_key(word, starts), _type_b_key(mate, starts), length - 2 * split
             continue
         key, mate_key = canonical_key(word), canonical_key(mate)
         if len(mate_key) != len(key) or exponent_sum(mate_key) != -exponent_sum(key):
@@ -352,7 +352,7 @@ def _orbit_pairs(length: int) -> Iterator[tuple[Word, Word, Word, Word, int]]:
                     f"orbit {render_word(k)} has inverse orbits {render_word(old)} and {render_word(partner)}"
                 )
         if new:
-            yield word, mate, key, mate_key, length
+            yield word, key, mate_key, length
 
 
 def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:
@@ -362,9 +362,9 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
     orientation reversed, which leaves the skein polynomial unchanged, so
     only the first word of each inverse pair is evaluated; the other gets
     the mirror image of its polynomial.  Type-B words come one per orbit,
-    so equal neighbours among the sorted keys are a bug, which
-    ``inverse_partners`` then names.  Each distinct polynomial's component
-    count is checked against the permutation of its first row.
+    so equal neighbours among the sorted keys are a bug.  Each distinct
+    polynomial's component count is checked against the permutation of its
+    first row.
     """
     if length > cap:
         # past the ceiling no --max-bands reaches the length
@@ -376,7 +376,7 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
         raise CapExceededError(f"length {length} exceeds the enumeration cap {cap}{advice}")
     skeins = _Skeins()
     rows: list[CensusEntry] = []
-    for word, _, key, mate_key, e in _orbit_pairs(length):
+    for word, key, mate_key, e in _orbit_pairs(length):
         poly = skeins.of(word, e)
         rows.append(CensusEntry(key, poly))
         if word:
@@ -385,7 +385,6 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
     rows.sort(key=attrgetter("word"))
     for before, entry in itertools.pairwise(rows):
         if before.word == entry.word:
-            inverse_partners(length)
             raise ConsistencyError(f"orbit {render_word(entry.word)} is generated twice")
     firsts: dict[int, CensusEntry] = {}  # by id: one object per distinct polynomial
     for e in rows:
@@ -397,22 +396,6 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
                 f"its permutation {walked}"
             )
     return rows
-
-
-def inverse_partners(length: int) -> dict[Word, Word]:
-    """Each orbit key of the given length, mapped to the key of its inverse orbit.
-
-    Besides the checks of the census pass, this keeps every key, so it
-    names the word behind a repeated type-B orbit.
-    """
-    partners: dict[Word, Word] = {}
-    for word, mate, key, mate_key, _ in _orbit_pairs(length):
-        for w, k, partner in ((word, key, mate_key), (mate, mate_key, key)):
-            # the empty word is its own inverse and comes alone
-            if w and k in partners:
-                raise ConsistencyError(f"type-B word {render_word(w)} repeats orbit {render_word(k)}")
-            partners[k] = partner
-    return partners
 
 
 def genus_census(g: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusEntry]:

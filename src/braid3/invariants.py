@@ -30,7 +30,7 @@ from . import xu
 from .errors import ConsistencyError
 from .hecke import homfly
 from .laurent import LaurentPoly1, LaurentPoly2, alexander, conway
-from .words import Word, closure_components, render_word
+from .words import Word, render_word
 
 UNIT_MONOMIAL = "unit-monomial"
 ONE_PLUS_V2 = "monomial-times-one-plus-v2"
@@ -129,18 +129,14 @@ def broken_laws(
         yield REASON_CHI, f"top z-degree {max_z} is below -2, so chi exceeds 3"
 
 
-def check_laws(
-    p: LaurentPoly2, chi: int, word: Sequence[int], components: int | None = None
-) -> CoeffClass:
+def check_laws(p: LaurentPoly2, chi: int, word: Sequence[int], components: int) -> CoeffClass:
     """Hold the polynomial ``p`` of the closure of ``word`` to the laws.
 
     ``chi`` is the closure's maximal Euler characteristic and ``components``
-    its component count, read from the word's permutation when not given.
-    Returns the class of the z-leading coefficient; the first broken law
-    raises ``ConsistencyError`` naming the law and the word.
+    its component count.  Returns the class of the z-leading coefficient;
+    the first broken law raises ``ConsistencyError`` naming the law and the
+    word.
     """
-    if components is None:
-        components = closure_components(word)
     leading = classify_leading_coefficient(p, chi)
     for _, message in broken_laws(p, chi, components, leading):
         raise ConsistencyError(f"{message} for {render_word(word)}")

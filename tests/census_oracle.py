@@ -3,8 +3,8 @@
 ``brute_force_orbits`` reduces every word of a length and keeps the orbit
 keys of the minimal ones: a completeness oracle for the constructive
 generator, feasible only for short words.  ``constructive_orbits`` is the
-orbit set of the census itself, the keys of
-``braid3.enumeration.inverse_partners``.  ``census_classes`` groups census
+orbit set of the census itself, both keys of every pair of the census pass
+``braid3.enumeration._orbit_pairs``.  ``census_classes`` groups census
 entries by polynomial, identifying a polynomial with its mirror image.
 The census rows themselves are checked against ``homfly`` of each key by
 ``scripts/census_oracles.py``.
@@ -16,7 +16,7 @@ import itertools
 from typing import Sequence
 
 from braid3 import xu
-from braid3.enumeration import CensusEntry, canonical_key, inverse_partners
+from braid3.enumeration import CensusEntry, _orbit_pairs, canonical_key
 from braid3.laurent import LaurentPoly2, mirror_image
 from conftest import LETTERS
 
@@ -37,7 +37,7 @@ def brute_force_orbits(length: int) -> set[tuple[int, ...]]:
 
 def constructive_orbits(length: int) -> set[tuple[int, ...]]:
     """The census's orbit set."""
-    return set(inverse_partners(length))
+    return {k for _, key, mate_key, _ in _orbit_pairs(length) for k in (key, mate_key)}
 
 
 def poly_class_key(p: LaurentPoly2) -> tuple:

@@ -101,9 +101,6 @@ class TestBasisSelfCheck:
 
 
 class TestTraceTable:
-    def test_frozen_equals_oracle(self):
-        assert trace_table_from_oracle() == TRACE_TABLE
-
     def test_values(self):
         d = delta_unlink_factor()
         assert TRACE_TABLE[0] == d * d

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from braid3 import invariants
+from braid3 import xu
 from braid3.errors import ConsistencyError
 from braid3.hecke import homfly, pretzel_homfly
 from braid3.invariants import (
@@ -26,7 +26,7 @@ from braid3.invariants import (
     report,
 )
 from braid3.laurent import LaurentPoly2, delta_unlink_factor, parse_poly
-from braid3.words import render_word
+from braid3.words import closure_components, render_word
 from conftest import words_st
 
 
@@ -58,12 +58,12 @@ class TestCheckLaws:
 
     def test_returns_leading_class(self):
         p = homfly(self.WORD)
-        assert check_laws(p, -1, self.WORD) == classify_leading_coefficient(p, -1)
+        assert check_laws(p, -1, self.WORD, closure_components(self.WORD)) == classify_leading_coefficient(p, -1)
 
     def test_sign_rule_allows_two_components(self):
         # [-3 -2 -1] closes to a 2-component link with z-leading coefficient -(1 + v^2) v^-3
         w = (-3, -2, -1)
-        leading = check_laws(homfly(w), 0, w)
+        leading = check_laws(homfly(w), 0, w, closure_components(w))
         assert (leading.tag, leading.sign, leading.k) == (ONE_PLUS_V2, -1, -3)
 
     @pytest.mark.parametrize(
@@ -116,13 +116,13 @@ class TestCheckLaws:
     def test_each_law_raises_naming_law_and_word(self, doctored, law):
         p = doctored(homfly(self.WORD))
         with pytest.raises(ConsistencyError) as info:
-            check_laws(p, -1, self.WORD)
+            check_laws(p, -1, self.WORD, closure_components(self.WORD))
         assert law in str(info.value)
         assert str(info.value).endswith(f" for {render_word(self.WORD)}")
 
 
     def test_unlink_square_allowed_on_the_empty_word(self):
-        leading = check_laws(delta_unlink_factor() ** 2, 3, ())
+        leading = check_laws(delta_unlink_factor() ** 2, 3, (), closure_components(()))
         assert (leading.tag, leading.sign, leading.k) == (THREE_UNLINK_SQUARE, 1, -2)
 
     def test_chi_law_comes_last(self):
@@ -132,7 +132,7 @@ class TestCheckLaws:
         q = p + parse_poly("1*v^10*z^-4")
         assert [reason for reason, _ in broken_laws(q, 5, 1)] == [REASON_MWF, REASON_LEADING, REASON_CHI]
         with pytest.raises(ConsistencyError, match=r"top z-degree -4 is below -2, so chi exceeds 3 for \[\]$"):
-            check_laws(p, 5, ())
+            check_laws(p, 5, (), closure_components(()))
 
     def test_given_component_count_is_the_one_read(self):
         # the trefoil's even z-degrees contradict a count of 2
@@ -141,18 +141,18 @@ class TestCheckLaws:
             check_laws(p, -1, self.WORD, 2)
 
     def test_report_takes_components_from_the_normal_form(self, monkeypatch):
-        def walked(word):
-            raise AssertionError("report recomputed the component count")
-
-        monkeypatch.setattr(invariants, "closure_components", walked)
-        assert report((1, 1, 1, 2)).components == 1
+        # a normal form that claims 2 components breaks the trefoil's parity law
+        assert report(self.WORD).components == 1
+        monkeypatch.setattr(xu.XuNormalForm, "components", property(lambda nf: 2))
+        with pytest.raises(ConsistencyError, match="z-degrees inconsistent with 2 components"):
+            report(self.WORD)
 
     def test_first_broken_law_is_reported(self):
         # breaks MWF, parity and the top z-degree: the list order decides
         p = homfly(self.WORD) + parse_poly("1*v^20*z^5")
         assert [reason for reason, _ in broken_laws(p, -1, 1)] == [REASON_MWF, REASON_PARITY, REASON_TOP_Z]
         with pytest.raises(ConsistencyError, match="MWF bound 10 exceeds 3"):
-            check_laws(p, -1, self.WORD)
+            check_laws(p, -1, self.WORD, closure_components(self.WORD))
 
 
 class TestBounds:
