@@ -6,16 +6,20 @@ The parent is checked out with ``git worktree add`` in a temporary directory,
 which is removed at the end.  ``perfbench/run.py`` runs in that worktree and
 in the working tree, for every workload of ``BENCHMARK.json`` and for seeds
 1 and 7919 (the held-out seed), PAIRS times each; within a pair the side
-that goes first alternates.  Each run gets the ``run_seconds`` of
-``BENCHMARK.json``, so the whole comparison takes about half an hour.  A run
+that goes first alternates.  After the pairs the change runs once more per
+workload with ``--trace 1`` at seed 1, since a traced run replays every
+pass under the tracer and can end at ``run.py``'s deadline where the plain
+runs pass.  Each run gets the ``run_seconds`` of ``BENCHMARK.json``, so the
+whole comparison takes about 35 minutes.  A run that exits non-zero or
 whose last line lacks ``"correct": true`` fails the script.
 
 Per workload, seed and end-to-end metric the file holds both sides' runs,
 medians and quartiles, and the pairs the change won, in the direction of
-the metric's ``better``.  It also records both commits, the CPU model,
-nproc, the Python version, the seconds per run and the pair count.  The
-comparison with the newest earlier ``BENCH_*.json`` beside the output, if
-there is one, is printed.
+the metric's ``better``.  It holds each traced run's wall time under
+``traced_runs``, and it records both commits, the CPU model, nproc, the
+Python version, the seconds per run and the pair count.  The comparison
+with the newest earlier ``BENCH_*.json`` beside the output, if there is
+one, is printed.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,12 +114,23 @@ def comparison(previous: dict, current: dict) -> list[str]:
     return lines
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> str:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> str:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    done = subprocess.run([*argv, "--trace", str(trace)], cwd=checkout, capture_output=True, text=True)
     if done.returncode:
-        raise BenchFailure(f"{workload} seed {seed} in {checkout} exited {done.returncode}: {done.stderr[-500:]}")
+        raise BenchFailure(
+            f"{workload} seed {seed} trace {trace} in {checkout} exited {done.returncode}: {done.stderr[-500:]}"
+        )
     return done.stdout
+
+
+def traced_run(workload: str, seconds: float) -> dict:
+    """One ``--trace 1`` run of the working tree at seed 1, which must end correct; its wall time."""
+    start = time.perf_counter()
+    stdout = run_once(ROOT, workload, 1, seconds, trace=1)
+    wall = time.perf_counter() - start
+    parse_run(stdout, f"{workload} seed 1 traced")
+    return {"seed": 1, "seconds": seconds, "wall_s": round(wall, 1)}
 
 
 def main(argv: list[str]) -> int:
@@ -148,6 +164,10 @@ def main(argv: list[str]) -> int:
                             print(f"{w['name']} seed {seed} pair {i} {side}: "
                                   f"{result['metrics']['ops_per_s']['value']:.4g} ops/s", file=sys.stderr)
                         pairs.append((out["parent"], out["change"]))
+            traced = {}
+            for w in spec["workloads"]:
+                traced[w["name"]] = traced_run(w["name"], seconds)
+                print(f"{w['name']} seed 1 traced: {traced[w['name']]['wall_s']} s", file=sys.stderr)
             document = {
                 "commits": {"parent_rev": parent_rev, **commits},
                 "environment": {
@@ -159,6 +179,7 @@ def main(argv: list[str]) -> int:
                     "seeds": list(SEEDS),
                 },
                 "workloads": summarize(runs, spec["end_to_end"]),
+                "traced_runs": traced,
             }
         except BenchFailure as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -88,8 +88,6 @@ def _emit(args, payload: dict, lines: list[str] | None = None) -> None:
 
 _CSV_HEADER = "length,word,kind,components,chi,polynomial,name\n"
 
-_LETTER_TEXT = {l: str(l) for l in (1, 2, 3, -1, -2, -3)}
-
 
 def _census_cell(entry, table, structured: bool) -> tuple[int, str]:
     """The component count and the encoded polynomial and table name of a row's polynomial."""
@@ -113,7 +111,6 @@ def _write_census(entries, table, structured: bool) -> None:
     cells: dict[int, tuple[int, str]] = {}
     out = sys.stdout
     out.write("[" if structured else _CSV_HEADER)
-    letter_text = _LETTER_TEXT.__getitem__
     separator = ""
     for e in entries:
         cell = cells.get(id(e.polynomial))
@@ -121,15 +118,15 @@ def _write_census(entries, table, structured: bool) -> None:
             cell = cells[id(e.polynomial)] = _census_cell(e, table, structured)
         components, poly_cell = cell
         n = len(e.word)
-        word = " ".join(map(letter_text, e.word))
+        word = render_word(e.word)
         if structured:
             out.write(
                 f'{separator}{{"chi": {3 - n}, "components": {components}, "kind": "{e.kind}", '
-                f'"length": {n}, {poly_cell}, "word": "[{word}]"}}'
+                f'"length": {n}, {poly_cell}, "word": "{word}"}}'
             )
             separator = ", "
         else:
-            out.write(f'{n},"[{word}]",{e.kind},{components},{3 - n},{poly_cell}\n')
+            out.write(f'{n},"{word}",{e.kind},{components},{3 - n},{poly_cell}\n')
     if structured:
         out.write("]\n")
 

@@ -87,33 +87,25 @@ def canonical_key(word: Sequence[int]) -> Word:
 _BEYOND = (4,)
 
 
-def _least_start(block: Word) -> tuple[int, dict[int, int]]:
-    """Start i and shift table of the least rotation of a type-B word whose negative block is ``block``.
+def _type_b_key(word: Word, starts: dict[Word, tuple[int, dict[int, int]]]) -> Word:
+    """``canonical_key`` of a type-B normal form N P: its negative block N, then its positive block P.
 
     Every negative letter is less than every positive one, so the least
     rotation of N P starts inside N, at a letter shifted to -3.  Two such
     starts compare letter by letter inside N; when one shifted suffix of N
     is a prefix of the other, the shorter one next meets a positive letter
-    of P and loses.  So the start and its shift depend on N alone.
-    """
-    best = None
-    for i, letter in enumerate(block):
-        table = _SHIFT_TABLES[letter % 3]  # the shift that takes this letter to -3
-        cand = tuple(map(table.__getitem__, block[i:])) + _BEYOND
-        if best is None or cand < best[0]:
-            best = cand, i, table
-    return best[1:]
-
-
-def _type_b_key(word: Word, starts: dict[Word, tuple[int, dict[int, int]]]) -> Word:
-    """``canonical_key`` of a type-B normal form N P: its negative block N, then its positive block P.
-
-    ``starts`` caches ``_least_start`` of each negative block met.
+    of P and loses.  So the start and its shift depend on N alone, and
+    ``starts`` caches them for each negative block met.
     """
     block = word[: bisect_right(word, 0)]  # the signs change once, so bisection finds P
     start = starts.get(block)
     if start is None:
-        start = starts[block] = _least_start(block)
+
+        def shifted(i: int) -> Word:  # the suffix of N from i, its first letter shifted to -3
+            return tuple(map(_SHIFT_TABLES[block[i] % 3].__getitem__, block[i:])) + _BEYOND
+
+        i = min(range(len(block)), key=shifted)
+        start = starts[block] = i, _SHIFT_TABLES[block[i] % 3]
     i, table = start
     u = tuple(map(table.__getitem__, word))
     return u[i:] + u[:i]
@@ -156,17 +148,24 @@ def generate_normal_forms(length: int) -> Iterator[Word]:
     # the lesser word.
     for left_len in range(1, length // 2 + 1):
         right_len = length - left_len
+        # R[0] != L[0] == 1; the mate R^-1 L is shifted by the shift that
+        # takes R[0] to 1, so each R and its shifted inverse are made once
+        rights = []
+        for first in (2, 3):
+            shift = _SHIFT_TABLES[(1 - first) % 3].__getitem__
+            group = [(r, tuple(map(shift, inverse(r)))) for r in nondecreasing_words(right_len, (first,))]
+            rights.append((shift, group))
         for left in nondecreasing_words(left_len, firsts=(1,)):
             head = inverse(left)
-            # R[0] != L[0] == 1
-            for right in nondecreasing_words(right_len, firsts=(2, 3)):
-                if left[-1] != right[-1]:
-                    word = head + right
-                    shift = _SHIFT_TABLES[(1 - right[0]) % 3].__getitem__
-                    mate = tuple(map(shift, inverse(right) + left))
-                    if left_len < right_len or word < mate:
-                        yield word
-                        yield mate
+            for shift, group in rights:
+                tail = tuple(map(shift, left))
+                for right, mate_head in group:
+                    if left[-1] != right[-1]:
+                        word = head + right
+                        mate = mate_head + tail
+                        if left_len < right_len or word < mate:
+                            yield word
+                            yield mate
 
 
 def _kind(word: Sequence[int]) -> str:
@@ -256,16 +255,16 @@ def _digits(x: int, word: Sequence[int]) -> list[int]:
 class _Skeins:
     """Skein polynomials of one length's normal forms, one object per distinct polynomial.
 
-    A word's trace is tr(B(first half) B(second half)).  Each half is a
-    block of at most 8 letters whose matrix is one product from its
-    prefix's, so the block cache stays small at every length.
+    Each distinct trace's polynomial is stored with its mirror image.  A
+    word's trace is tr(B(first half) B(second half)).  Each half is a block
+    of at most 8 letters whose matrix is one product from its prefix's, so
+    the block cache stays small at every length.
     """
 
     def __init__(self) -> None:
         self.blocks: dict[Word, _PackedBurau] = {(): (0, 1, 0, 0, 1)}
-        self.by_trace: dict[tuple[int, int, int], LaurentPoly2] = {}
+        self.by_trace: dict[tuple[int, int, int], tuple[LaurentPoly2, LaurentPoly2]] = {}
         self.by_value: dict[LaurentPoly2, LaurentPoly2] = {}
-        self.mirrors: dict[int, LaurentPoly2] = {}
 
     def _block(self, block: Word) -> _PackedBurau:
         m = self.blocks.get(block)
@@ -292,21 +291,17 @@ class _Skeins:
             lo += 1
         return lo, x
 
-    def of(self, word: Word, e: int) -> LaurentPoly2:
-        """P of the closure of ``word``, whose exponent sum is ``e``."""
+    def of(self, word: Word, e: int) -> tuple[LaurentPoly2, LaurentPoly2]:
+        """P of the closure of ``word``, whose exponent sum is ``e``, and its mirror image."""
         lo, x = self.trace(word)
-        poly = self.by_trace.get((e, lo, x))
-        if poly is None:
+        pair = self.by_trace.get((e, lo, x))
+        if pair is None:
+            share = self.by_value.setdefault
             poly = hecke._skein_from_trace(e, lo, _digits(x, word), word)
-            poly = self.by_trace[e, lo, x] = self.by_value.setdefault(poly, poly)
-        return poly
-
-    def mirror(self, poly: LaurentPoly2) -> LaurentPoly2:
-        m = self.mirrors.get(id(poly))
-        if m is None:
-            m = mirror_image(poly)
-            m = self.mirrors[id(poly)] = self.by_value.setdefault(m, m)
-        return m
+            poly = share(poly, poly)
+            mirror = mirror_image(poly)
+            pair = self.by_trace[e, lo, x] = poly, share(mirror, mirror)
+        return pair
 
 
 def _orbit_pairs(length: int) -> Iterator[tuple[Word, Word, Word, int]]:
@@ -366,21 +361,21 @@ def enumerate_minimal(length: int, cap: int = DEFAULT_MAX_BANDS) -> list[CensusE
     polynomial's component count is checked against the permutation of its
     first row.
     """
-    if length > cap:
-        # past the ceiling no --max-bands reaches the length
-        advice = (
-            "; raise --max-bands"
-            if length <= MAX_BANDS_CEILING
-            else f" and the ceiling {MAX_BANDS_CEILING} of --max-bands"
-        )
-        raise CapExceededError(f"length {length} exceeds the enumeration cap {cap}{advice}")
+    if length > min(cap, MAX_BANDS_CEILING):
+        if length <= MAX_BANDS_CEILING:
+            bound = f"the enumeration cap {cap}; raise --max-bands"
+        else:
+            # past the ceiling no --max-bands reaches the length, and no cap lets it run
+            over_cap = f"the enumeration cap {cap} and " if length > cap else ""
+            bound = f"{over_cap}the ceiling {MAX_BANDS_CEILING} of --max-bands"
+        raise CapExceededError(f"length {length} exceeds {bound}")
     skeins = _Skeins()
     rows: list[CensusEntry] = []
     for word, key, mate_key, e in _orbit_pairs(length):
-        poly = skeins.of(word, e)
+        poly, mirror = skeins.of(word, e)
         rows.append(CensusEntry(key, poly))
         if word:
-            rows.append(CensusEntry(mate_key, skeins.mirror(poly)))
+            rows.append(CensusEntry(mate_key, mirror))
     del skeins  # free the caches before the sort allocates
     rows.sort(key=attrgetter("word"))
     for before, entry in itertools.pairwise(rows):

@@ -74,7 +74,7 @@ def parse_word(text: str) -> Word:
 
 
 def render_word(word: Sequence[int]) -> str:
-    return "[" + " ".join(str(l) for l in word) + "]"
+    return "[" + " ".join(map(str, word)) + "]"
 
 
 def exponent_sum(word: Sequence[int]) -> int:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,33 @@ def test_comparison_reads_the_change_medians():
         "census seed 1 ops_per_s: 9 -> 12 1/s",
         "census seed 1 peak_rss_mb: 21 -> 19 MB",
     ]
+
+
+def canned_process(returncode: int, stdout: str, argvs: list):
+    """A stand-in for ``subprocess.run`` that records each argv and prints ``stdout``."""
+
+    def run(argv, **kwargs):
+        argvs.append(argv)
+        return subprocess.CompletedProcess(argv, returncode, stdout, "error: run deadline passed\n")
+
+    return run
+
+
+def test_traced_run_records_its_wall_time(monkeypatch):
+    argvs = []
+    monkeypatch.setattr(bench.subprocess, "run", canned_process(0, run_lines(10.0, 20.0), argvs))
+    record = bench.traced_run("census", 25)
+    assert argvs[0][-8:] == ["--workload", "census", "--seed", "1", "--seconds", "25", "--trace", "1"]
+    assert (record["seed"], record["seconds"]) == (1, 25)
+    assert record["wall_s"] >= 0
+
+
+@pytest.mark.parametrize(
+    "returncode, stdout",
+    [(1, ""), (0, run_lines(10.0, 20.0, correct=False)), (0, "error: timed out\n")],
+    ids=["exit-1", "not-correct", "no-result"],
+)
+def test_a_failing_traced_run_fails(monkeypatch, returncode, stdout):
+    monkeypatch.setattr(bench.subprocess, "run", canned_process(returncode, stdout, []))
+    with pytest.raises(bench.BenchFailure, match="^census seed 1 trace"):
+        bench.traced_run("census", 25)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -330,6 +331,27 @@ def test_genus_four_census_output_is_pinned(capsys, fmt, digest):
     # the 2,662 knot rows of 10 bands, taken when --genus walked each row's
     # permutation; keeping the rows by one read of each polynomial must not change a byte
     code, out, _ = run_cli(capsys, "--format", fmt, "enumerate", "--genus", "4")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command, alphabet, letters, digest",
+    [
+        ("reduce", (1, 2, 3, -1, -2, -3), 500, "fa166bbf3587b075ad22c55896c90461816bd77607fe330bc7f780a5e4c5ee49"),
+        ("reduce", (1, 2, 3, -1, -2, -3), 2000, "528e566d33de0439502de98e6a41a398af22c94706286b0dc6e410dd9a7d3946"),
+        ("invariants", (1, 2, 3, -1, -2, -3), 400, "6a02f28d6097182e6e5e8aeaa4fe54139585015de4a8b4d6f1904b23b68b71cc"),
+        ("invariants", (1, 2, 3), 120, "4f5ec1da1e5b90039243f5fcb7706fadcc54ece79351297262d4f32b5f2e42b8"),
+    ],
+    ids=["reduce-mixed-500", "reduce-mixed-2000", "invariants-mixed-400", "invariants-positive-120"],
+)
+def test_long_word_output_is_pinned(capsys, command, alphabet, letters, digest):
+    # taken while each reduce ran three quadratic Xu reductions and the
+    # invariants came from several evaluations; a linear reduction run once,
+    # or every invariant read from one Burau trace, must not change a byte
+    rng = random.Random(letters)
+    word = render_word(tuple(rng.choice(alphabet) for _ in range(letters)))
+    code, out, _ = run_cli(capsys, "--format", "structured", command, word)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

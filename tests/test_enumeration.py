@@ -148,6 +148,23 @@ class TestGeneration:
         with pytest.raises(CapExceededError):
             enumerate_minimal(15)
 
+    def test_no_cap_reaches_past_the_ceiling(self, monkeypatch):
+        # the CLI refuses --max-bands above the ceiling, but a library caller
+        # may pass any cap: the census is refused before any generation
+        def no_generation(length):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(enumeration, "generate_normal_forms", no_generation)
+        with pytest.raises(CapExceededError, match=r"^length 17 exceeds the ceiling 16 of --max-bands$"):
+            enumerate_minimal(17, cap=17)
+        # a polynomial of top z-degree 20 keeps every law and needs 22 bands
+        with pytest.raises(CapExceededError, match=r"^length 22 exceeds the ceiling 16 of --max-bands$"):
+            realizable_3braid(parse_poly("1*v^0*z^20"), cap=30)
+        with pytest.raises(CapExceededError, match=r"^length 18 exceeds the ceiling 16 of --max-bands$"):
+            genus_census(8, cap=20)
+        with pytest.raises(CapExceededError, match=r"^length 18 exceeds the enumeration cap 17 and the ceiling"):
+            enumerate_minimal(18, cap=17)
+
     def test_one_type_b_word_per_orbit_against_all_shifts(self):
         # the same orbits (so the same census rows, whose kind is read from
         # the key) as the all-shifts generator, with three times fewer type-B words

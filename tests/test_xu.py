@@ -279,11 +279,16 @@ class TestDerivedInvariants:
 
 
 class TestRestartOracle:
-    """Steps (ii) and (iii) against the restart scans kept in ``tests/xu_oracle.py``."""
+    """Xu's three steps against the scans kept in ``tests/xu_oracle.py``."""
+
+    def test_step_one_on_every_word_up_to_six_letters(self):
+        for n in range(7):
+            for w in itertools.product(LETTERS, repeat=n):
+                assert push_negatives_left(w) == xu_oracle.push_negatives_left(w), w
 
     def test_every_word_up_to_six_letters(self):
-        # the oracle's answer depends only on the shared step (i), so it is
-        # computed once per sorted word; every word still gets its own reduce
+        # step (i) is checked above, so the oracle reduces each sorted word
+        # once; every word still gets its own reduce
         expected = {}
         for n in range(7):
             for w in itertools.product(LETTERS, repeat=n):

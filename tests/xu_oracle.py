@@ -1,11 +1,14 @@
-"""Xu steps (ii) and (iii) by restart scans, kept as a test oracle for ``braid3.xu``.
+"""Xu's three steps by scans, kept as a test oracle for ``braid3.xu``.
 
-``extract_descents`` removes the leftmost descent pair, shifts the letters in
-front of it and rescans from the start; ``cancel_factors`` re-extracts the
-descents of all of R after each letter it slides through the delta block.
-Neither uses the stack or the one-pair check of ``braid3.xu``, and both take
-time at least quadratic in the word length.  Together with the shared
-step (i), ``braid3.xu.push_negatives_left``, they give the oracle ``reduce``.
+``push_negatives_left`` (step (i)) bubbles inverse letters to the front,
+one adjacent swap or cancellation at a time, rescanning until nothing
+changes.  ``extract_descents`` removes the leftmost descent pair, shifts the
+letters in front of it and rescans from the start; ``cancel_factors``
+re-extracts the descents of all of R after each letter it slides through
+the delta block.  None of them uses the stack or the one-pair check of
+``braid3.xu``, and all take time at least quadratic in the word length.
+Together they give the oracle ``reduce``, which shares no step with the
+package, so a faster step (i) there is checked against this one.
 """
 
 from __future__ import annotations
@@ -14,13 +17,33 @@ from typing import Sequence
 
 from braid3.errors import ConsistencyError
 from braid3.words import Word, inverse, normalize_index, render_word, shift_letter
-from braid3.xu import (
-    TYPE_A_NEGATIVE,
-    TYPE_A_POSITIVE,
-    TYPE_B,
-    XuNormalForm,
-    push_negatives_left,
-)
+from braid3.xu import TYPE_A_NEGATIVE, TYPE_A_POSITIVE, TYPE_B, XuNormalForm
+
+
+def push_negatives_left(word: Sequence[int]) -> Word:
+    """Step (i): an equal word with every inverse letter before every letter.
+
+    Adjacent cancelling pairs are removed in both orders, so the result is
+    also freely reduced at the seam.
+    """
+    letters = list(word)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(letters) - 1:
+            x, y = letters[i], letters[i + 1]
+            if x == -y:
+                del letters[i : i + 2]
+                i = max(i - 1, 0)
+                changed = True
+                continue
+            if x > 0 > y:
+                letters[i] = -shift_letter(x, 1)
+                letters[i + 1] = shift_letter(-y, 1)
+                changed = True
+            i += 1
+    return tuple(letters)
 
 
 def extract_descents(word: Sequence[int]) -> tuple[int, Word]:
